@@ -63,7 +63,7 @@ bench-baseline: bench-json
 
 # Key benchmarks that gate performance regressions. Sub-benchmarks of these
 # are gated too; everything else is context-only in the benchdiff table.
-BENCH_GATE_KEYS = BenchmarkBroadcastK32|BenchmarkBroadcastPushK32|BenchmarkExactKernels|BenchmarkEstimateColdVsCached|BenchmarkArbFourCycle
+BENCH_GATE_KEYS = BenchmarkBroadcastK32|BenchmarkExactKernels|BenchmarkEstimateColdVsCached|BenchmarkArbFourCycle
 BENCH_GATE_PKGS = ./internal/stream/ ./internal/graph/ ./internal/serve/ ./internal/arbitrary/
 
 # Perf regression gate: run only the key benchmarks briefly, convert to

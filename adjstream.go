@@ -223,15 +223,10 @@ type Driver string
 const (
 	// DriverBroadcast shares one read of the stream per pass among all
 	// copies (the default): O(passes · 2m) stream-item reads regardless of
-	// the copy count. Copies pull the stream's immutable chunks directly —
-	// no producer goroutine, no channel sends — in small windows that
-	// interleave independent copies' work.
+	// the copy count. Workers read the stream's immutable chunks directly,
+	// each for its shard of copies, in small windows that interleave
+	// independent copies' work.
 	DriverBroadcast Driver = "broadcast"
-	// DriverPushBroadcast is the legacy push-based broadcast: a producer
-	// goroutine fans batches out to per-copy channels. Same O(passes · 2m)
-	// reads and bit-identical results; kept for A/B benchmarking against
-	// DriverBroadcast's pull executor.
-	DriverPushBroadcast Driver = "push-broadcast"
 	// DriverReplay replays the full stream once per copy per pass (the
 	// pre-broadcast behavior, kept for A/B benchmarking):
 	// O(copies · passes · 2m) stream-item reads.
@@ -396,8 +391,8 @@ type Result struct {
 	// (DriverBroadcast or DriverReplay for parallel runs, "" for
 	// sequential ones).
 	Driver Driver
-	// DriverStats holds the stream-traversal counters of a parallel
-	// broadcast run (zero value for replay and sequential runs).
+	// DriverStats holds the stream-traversal counters of a parallel run
+	// (zero value for sequential runs).
 	DriverStats DriverStats
 }
 
@@ -477,18 +472,58 @@ func (o Options) wrapSingle(seed uint64) (Estimator, error) {
 	return e, nil
 }
 
-// buildCopies constructs c independent copies with the deterministic
-// per-copy seed schedule (copy i gets Seed + i·0x9e37_79b9 + 1).
-func (o Options) buildCopies(c int) ([]Estimator, error) {
-	copies := make([]Estimator, c)
+// copySeed is the per-copy seed schedule: a single-copy run uses seed
+// itself, copy i of a k-copy run gets seed + i·0x9e37_79b9 + 1. It depends
+// only on seed, k and i, so a copy gets the same seed in whichever shard
+// runs it.
+func copySeed(seed uint64, k, i int) uint64 {
+	if k == 1 {
+		return seed
+	}
+	return seed + uint64(i)*0x9e37_79b9 + 1
+}
+
+// buildCopies constructs copies [lo, hi) of a k-copy run on the copySeed
+// schedule.
+func (o Options) buildCopies(k, lo, hi int) ([]Estimator, error) {
+	copies := make([]Estimator, hi-lo)
 	for i := range copies {
-		e, err := o.wrapSingle(o.Seed + uint64(i)*0x9e37_79b9 + 1)
+		e, err := o.wrapSingle(copySeed(o.Seed, k, lo+i))
 		if err != nil {
 			return nil, err
 		}
 		copies[i] = e
 	}
 	return copies, nil
+}
+
+// runCopies drives copies over s as opts selects. A Parallel run of more
+// than one copy goes through opts.Driver (DriverBroadcast when empty) and
+// reports that driver and its counters; anything else runs sequentially —
+// one traversal per pass on the calling goroutine — and reports an empty
+// Driver and zero DriverStats. Cancellation surfaces as ErrCanceled.
+func runCopies(ctx context.Context, s *Stream, opts Options, copies []Estimator) (Driver, DriverStats, error) {
+	var (
+		driver Driver
+		st     DriverStats
+		err    error
+	)
+	switch {
+	case !opts.Parallel || len(copies) == 1:
+		err = stream.RunSequentialContext(ctx, s, copies)
+	case opts.Driver == DriverReplay:
+		driver = DriverReplay
+		if err = stream.RunParallelContext(ctx, s, copies); err == nil {
+			st = stream.ReplayStats(s, copies)
+		}
+	default: // DriverBroadcast or "" (Validate rejected everything else)
+		driver = DriverBroadcast
+		st, err = stream.RunBroadcastContext(ctx, s, copies)
+	}
+	if err != nil {
+		return "", DriverStats{}, canceled(err)
+	}
+	return driver, st, nil
 }
 
 // newArbitrary builds one arbitrary-order copy with the given seed. n is the
@@ -539,12 +574,12 @@ func NewEstimator(opts Options) (Estimator, error) {
 		return nil, fmt.Errorf("%w: Model %q estimators run over edge streams, not adjacency-list streams; use Estimate or EstimateArbitrary", ErrInvalidOptions, opts.Model)
 	}
 	c := opts.copies()
-	if c == 1 {
-		return opts.wrapSingle(opts.Seed)
-	}
-	copies, err := opts.buildCopies(c)
+	copies, err := opts.buildCopies(c, 0, c)
 	if err != nil {
 		return nil, err
+	}
+	if c == 1 {
+		return copies[0], nil
 	}
 	return stream.NewMedian(copies...), nil
 }
@@ -653,42 +688,15 @@ func LocalEstimateContext(ctx context.Context, s *Stream, p float64, opts Option
 	copies := make([]*baseline.LocalTriangles, c)
 	ests := make([]stream.Estimator, c)
 	for i := range copies {
-		seed := opts.Seed
-		if c > 1 {
-			seed = opts.Seed + uint64(i)*0x9e37_79b9 + 1
-		}
-		alg, err := baseline.NewLocalTriangles(p, seed)
+		alg, err := baseline.NewLocalTriangles(p, copySeed(opts.Seed, c, i))
 		if err != nil {
 			return nil, Result{}, fmt.Errorf("%w: %w", ErrInvalidOptions, err)
 		}
 		copies[i], ests[i] = alg, alg
 	}
-	var st DriverStats
-	var driver Driver
-	if opts.Parallel && c > 1 {
-		var err error
-		switch opts.Driver {
-		case DriverReplay:
-			driver = DriverReplay
-			if err = stream.RunParallelContext(ctx, s, ests); err == nil {
-				st = stream.ReplayStats(s, ests)
-			}
-		case DriverPushBroadcast:
-			driver = DriverPushBroadcast
-			st, err = stream.RunBroadcastConfigContext(ctx, s, ests, stream.BroadcastConfig{Push: true})
-		default: // DriverBroadcast or ""
-			driver = DriverBroadcast
-			st, err = stream.RunBroadcastContext(ctx, s, ests)
-		}
-		if err != nil {
-			return nil, Result{}, canceled(err)
-		}
-	} else {
-		for _, e := range ests {
-			if err := stream.RunContext(ctx, s, e); err != nil {
-				return nil, Result{}, canceled(err)
-			}
-		}
+	driver, st, err := runCopies(ctx, s, opts, ests)
+	if err != nil {
+		return nil, Result{}, err
 	}
 	est, sp := stream.MedianOf(ests)
 	res := Result{
@@ -755,53 +763,23 @@ func EstimateContext(ctx context.Context, s *Stream, opts Options) (Result, erro
 		return EstimateArbitraryContext(ctx, NewArbitraryStream(s), opts)
 	}
 	c := opts.copies()
-	if opts.Parallel && c > 1 {
-		copies, err := opts.buildCopies(c)
-		if err != nil {
-			return Result{}, err
-		}
-		var est float64
-		var sp int64
-		var st DriverStats
-		driver := opts.Driver
-		switch driver {
-		case DriverReplay:
-			est, sp, err = stream.MedianReplayContext(ctx, s, copies)
-			if err == nil {
-				st = stream.ReplayStats(s, copies)
-			}
-		case DriverPushBroadcast:
-			est, sp, st, err = stream.MedianBroadcastConfigContext(ctx, s, copies, stream.BroadcastConfig{Push: true})
-		default: // DriverBroadcast or "" (Validate rejected everything else)
-			driver = DriverBroadcast
-			est, sp, st, err = stream.MedianBroadcastContext(ctx, s, copies)
-		}
-		if err != nil {
-			return Result{}, canceled(err)
-		}
-		return Result{
-			Estimate:    est,
-			SpaceWords:  sp,
-			Passes:      copies[0].Passes(),
-			M:           s.M(),
-			Copies:      c,
-			Driver:      driver,
-			DriverStats: st,
-		}, nil
-	}
-	e, err := NewEstimator(opts)
+	copies, err := opts.buildCopies(c, 0, c)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := stream.RunContext(ctx, s, e); err != nil {
-		return Result{}, canceled(err)
+	driver, st, err := runCopies(ctx, s, opts, copies)
+	if err != nil {
+		return Result{}, err
 	}
+	est, sp := stream.MedianOf(copies)
 	return Result{
-		Estimate:   e.Estimate(),
-		SpaceWords: e.SpaceWords(),
-		Passes:     e.Passes(),
-		M:          s.M(),
-		Copies:     c,
+		Estimate:    est,
+		SpaceWords:  sp,
+		Passes:      copies[0].Passes(),
+		M:           s.M(),
+		Copies:      c,
+		Driver:      driver,
+		DriverStats: st,
 	}, nil
 }
 
@@ -834,11 +812,7 @@ func EstimateArbitraryContext(ctx context.Context, s *ArbitraryStream, opts Opti
 	c := opts.copies()
 	copies := make([]arbitrary.Estimator, c)
 	for i := range copies {
-		seed := opts.Seed
-		if c > 1 {
-			seed = opts.Seed + uint64(i)*0x9e37_79b9 + 1
-		}
-		e, err := opts.newArbitrary(seed, s.N())
+		e, err := opts.newArbitrary(copySeed(opts.Seed, c, i), s.N())
 		if err != nil {
 			return Result{}, err
 		}

@@ -2,6 +2,7 @@ package adjstream
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -127,10 +128,11 @@ func TestEstimateOptionErrors(t *testing.T) {
 		{Algorithm: AlgoTwoPassTriangle, SampleProb: 1, Copies: 3, Confidence: 0.9},
 		{Algorithm: AlgoTwoPassTriangle, SampleProb: 1, Copies: -1},
 		{Algorithm: AlgoTwoPassTriangle, SampleProb: 1, Confidence: 1.5},
+		{Algorithm: AlgoExact, Copies: 3, Parallel: true, Driver: "push-broadcast"}, // unknown driver
 	}
 	for i, o := range bad {
-		if _, err := Estimate(s, o); err == nil {
-			t.Errorf("case %d: expected error", i)
+		if _, err := Estimate(s, o); !errors.Is(err, ErrInvalidOptions) && !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("case %d: err = %v, want ErrInvalidOptions or ErrUnknownAlgorithm", i, err)
 		}
 	}
 }

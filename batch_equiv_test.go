@@ -65,13 +65,14 @@ func TestBatchPathMatchesItemPathSequential(t *testing.T) {
 }
 
 // TestBatchPathMatchesItemPathBroadcast pins the broadcast driver at both
-// the default config (whole-chunk batches) and a batch size that splits
-// lists mid-batch, against the sequential item path.
+// the default config and an odd window that splits lists mid-window (so
+// run offsets are rebased at odd positions), against the sequential item
+// path.
 func TestBatchPathMatchesItemPathBroadcast(t *testing.T) {
 	s := batchEquivStream(t)
 	cfgs := []stream.BroadcastConfig{
 		{},
-		{BatchSize: 37, Workers: 2},
+		{Window: 37, Workers: 2},
 	}
 	const k = 4
 	for _, tc := range estimatorRoster(s.M()) {

@@ -50,7 +50,7 @@ type Report struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-const defaultKeys = "BenchmarkBroadcastK32,BenchmarkBroadcastPushK32,BenchmarkExactKernels,BenchmarkEstimateColdVsCached,BenchmarkArbFourCycle"
+const defaultKeys = "BenchmarkBroadcastK32,BenchmarkExactKernels,BenchmarkEstimateColdVsCached,BenchmarkArbFourCycle"
 
 // stripProcs removes Go's -<GOMAXPROCS> suffix (BenchmarkFoo-8 → BenchmarkFoo)
 // so reports taken on machines with different core counts line up.

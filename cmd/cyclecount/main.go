@@ -105,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cycleLen := fs.Int("len", 3, "cycle length for -algo exact")
 	copies := fs.Int("copies", 1, "independent copies, median-combined")
 	parallel := fs.Bool("parallel", false, "run copies concurrently")
-	driver := fs.String("driver", "broadcast", "parallel execution driver: broadcast (pull executor, single stream read per pass), push-broadcast (legacy channel fan-out), or replay (one read per copy)")
+	driver := fs.String("driver", "broadcast", "parallel execution driver: broadcast (single stream read per pass) or replay (one read per copy)")
 	copyRange := fs.String("copy-range", "", "run only copies [lo:hi) of the -copies run (requires -snapshot)")
 	snapshot := fs.String("snapshot", "", "write per-copy snapshots to this file instead of printing an estimate; merge shards with adjmerge")
 	seed := fs.Uint64("seed", 1, "seed for all randomness")

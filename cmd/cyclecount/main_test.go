@@ -202,6 +202,9 @@ func TestExitCodes(t *testing.T) {
 	if code := run([]string{"-algo", "bogus", path}, &out, &errw); code != 2 {
 		t.Errorf("unknown algorithm: code = %d, want 2", code)
 	}
+	if code := run([]string{"-algo", "exact", "-copies", "3", "-parallel", "-driver", "push-broadcast", path}, &out, &errw); code != 2 {
+		t.Errorf("unknown driver push-broadcast: code = %d, want 2", code)
+	}
 	errw.Reset()
 	if code := run([]string{"-algo", "exact", "-timeout", "1ns", path}, &out, &errw); code != 3 {
 		t.Errorf("timeout: code = %d, want 3 (stderr %q)", code, errw.String())

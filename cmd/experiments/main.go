@@ -74,8 +74,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "markdown", "output format: markdown or csv")
 	out := fs.String("out", "", "output file (default stdout)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	driver := fs.String("driver", "broadcast", "multi-copy execution driver: broadcast (pull executor), push-broadcast (legacy fan-out), or replay")
-	driverStats := fs.Bool("driverstats", false, "append the driver-counter table (stream reads, batches, queue depth) after the experiments")
+	driver := fs.String("driver", "broadcast", "multi-copy execution driver: broadcast or replay")
+	driverStats := fs.Bool("driverstats", false, "append the driver-counter table (stream reads, batches) after the experiments")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	journal := fs.String("journal", "", "append a JSONL run journal to this file (enables telemetry)")

@@ -67,7 +67,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: unknown model %q", ErrInvalidOptions, o.Model)
 	}
 	switch o.Driver {
-	case "", DriverBroadcast, DriverPushBroadcast, DriverReplay:
+	case "", DriverBroadcast, DriverReplay:
 	default:
 		return fmt.Errorf("%w: unknown driver %q", ErrInvalidOptions, o.Driver)
 	}

@@ -16,22 +16,21 @@ import (
 
 var (
 	driverMu      sync.Mutex
-	driverSel     string // "", "broadcast", "push-broadcast", or "replay"
+	driverSel     string // "", "broadcast", or "replay"
 	driverCounter stream.DriverStats
 	replayCounter stream.DriverStats
 )
 
 // SetDriver selects the execution driver for multi-copy experiment runs:
-// "broadcast" (pull executor, the default), "push-broadcast" (legacy
-// channel fan-out), or "replay".
+// "broadcast" (the default) or "replay".
 func SetDriver(name string) error {
 	driverMu.Lock()
 	defer driverMu.Unlock()
 	switch name {
-	case "broadcast", "push-broadcast", "replay":
+	case "broadcast", "replay":
 		driverSel = name
 	default:
-		return fmt.Errorf("exp: unknown driver %q (want broadcast, push-broadcast, or replay)", name)
+		return fmt.Errorf("exp: unknown driver %q (want broadcast or replay)", name)
 	}
 	return nil
 }
@@ -49,9 +48,7 @@ func runCopies(s *stream.Stream, ests []stream.Estimator) {
 	case "replay":
 		stream.RunParallel(s, ests)
 		st = stream.ReplayStats(s, ests)
-	case "push-broadcast":
-		st = stream.RunBroadcastConfig(s, ests, stream.BroadcastConfig{Push: true})
-	default: // "" or "broadcast": the pull executor
+	default: // "" or "broadcast"
 		st = stream.RunBroadcastConfig(s, ests, stream.BroadcastConfig{})
 	}
 	driverMu.Lock()
@@ -110,12 +107,11 @@ func DriverReport() *Table {
 		Claim: "the broadcast driver reads each stream once per pass regardless of copy count",
 		Header: []string{
 			"copies run", "stream items read", "items delivered", "batches",
-			"peak queue depth", "replay-equivalent reads", "read reduction ×",
+			"replay-equivalent reads", "read reduction ×",
 		},
 		Rows: [][]string{{
 			d(int64(used.Copies)), d(used.StreamItemsRead), d(used.ItemsDelivered),
-			d(used.Batches), d(int64(used.PeakQueueDepth)),
-			d(replay.StreamItemsRead), savings,
+			d(used.Batches), d(replay.StreamItemsRead), savings,
 		}},
 	}
 }

@@ -167,8 +167,8 @@ func driverName() string {
 	return driverSel
 }
 
-// statsDelta returns after minus before for the summing counters; the
-// max-style fields (Passes, PeakQueueDepth) keep their after values.
+// statsDelta returns after minus before for the summing counters;
+// Passes, a maximum, keeps its after value.
 func statsDelta(after, before stream.DriverStats) stream.DriverStats {
 	return stream.DriverStats{
 		Copies:          after.Copies - before.Copies,
@@ -176,7 +176,6 @@ func statsDelta(after, before stream.DriverStats) stream.DriverStats {
 		StreamItemsRead: after.StreamItemsRead - before.StreamItemsRead,
 		ItemsDelivered:  after.ItemsDelivered - before.ItemsDelivered,
 		Batches:         after.Batches - before.Batches,
-		PeakQueueDepth:  after.PeakQueueDepth,
 	}
 }
 

@@ -76,10 +76,19 @@ func TestBatchFamilySharesOneRun(t *testing.T) {
 }
 
 // TestBatchFamilyDriverVariants checks the shared run honors each member
-// family's driver and stays bit-identical to standalone runs under it.
+// family's driver and copy counts and stays bit-identical to standalone
+// runs under them.
 func TestBatchFamilyDriverVariants(t *testing.T) {
-	for _, driver := range []string{"broadcast", "push-broadcast", "replay"} {
-		t.Run(driver, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, driver string
+		copies       []int
+	}{
+		{"broadcast", "broadcast", []int{3, 5}},
+		{"broadcast-k2-k7", "broadcast", []int{2, 7}},
+		{"replay", "replay", []int{3, 5}},
+	} {
+		driver := tc.driver
+		t.Run(tc.name, func(t *testing.T) {
 			_, ts := newTestServer(t, Config{})
 			mk := func(copies int) EstimateRequest {
 				return EstimateRequest{
@@ -92,12 +101,12 @@ func TestBatchFamilyDriverVariants(t *testing.T) {
 					Seed:       seedPtr(3),
 				}
 			}
-			batch := BatchRequest{Requests: []EstimateRequest{mk(3), mk(5)}}
+			batch := BatchRequest{Requests: []EstimateRequest{mk(tc.copies[0]), mk(tc.copies[1])}}
 			var resp BatchResponse
 			if code := post(t, ts, "/v1/estimate/batch", batch, &resp); code != http.StatusOK {
 				t.Fatalf("batch status = %d", code)
 			}
-			for i, copies := range []int{3, 5} {
+			for i, copies := range tc.copies {
 				r := resp.Results[i]
 				if r.Status != http.StatusOK || r.Result == nil {
 					t.Fatalf("item %d = %+v", i, r)

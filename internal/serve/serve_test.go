@@ -193,6 +193,7 @@ func TestErrorMapping(t *testing.T) {
 		{"missing algorithm", "/v1/estimate", EstimateRequest{Graph: "k6"}, http.StatusBadRequest, "invalid_options"},
 		{"bad order", "/v1/estimate", EstimateRequest{Graph: "k6", Algorithm: "exact", Order: "shuffled"}, http.StatusBadRequest, "invalid_options"},
 		{"bad cycle len", "/v1/distinguish", EstimateRequest{Graph: "k6", CycleLen: 2}, http.StatusBadRequest, "invalid_options"},
+		{"unknown driver", "/v1/estimate", EstimateRequest{Graph: "k6", Algorithm: "exact", Copies: 3, Parallel: true, Driver: "push-broadcast"}, http.StatusBadRequest, "invalid_options"},
 	}
 	for _, tc := range cases {
 		var er ErrorResponse

@@ -131,7 +131,7 @@ type EstimateRequest struct {
 	Confidence float64 `json:"confidence,omitempty"`
 	// Parallel runs copies concurrently through the selected driver.
 	Parallel bool `json:"parallel,omitempty"`
-	// Driver is "broadcast" (default), "push-broadcast", or "replay".
+	// Driver is "broadcast" (default) or "replay".
 	Driver string `json:"driver,omitempty"`
 	// Seed drives all randomness deterministically. A nil Seed selects the
 	// server default (0). The pointer matters: with a plain uint64 an
@@ -794,11 +794,8 @@ func (s *Server) batchRunFamily(ctx context.Context, reqs []EstimateRequest, idx
 	}
 	// The driver the standalone parallel run would report.
 	driver := adjstream.DriverBroadcast
-	switch adjstream.Driver(base.Driver) {
-	case adjstream.DriverReplay:
+	if adjstream.Driver(base.Driver) == adjstream.DriverReplay {
 		driver = adjstream.DriverReplay
-	case adjstream.DriverPushBroadcast:
-		driver = adjstream.DriverPushBroadcast
 	}
 	for _, i := range idxs {
 		res, err := adjstream.MergeSnapshots(snaps[:reqs[i].Copies])

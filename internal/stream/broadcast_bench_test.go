@@ -122,24 +122,12 @@ func benchmarkBroadcastItem(b *testing.B, k int) {
 	}
 }
 
-// benchmarkBroadcastPush is benchmarkBroadcast on the legacy push fan-out:
-// the A/B control for the pull executor, and a gated key so the legacy path
-// cannot silently rot.
-func benchmarkBroadcastPush(b *testing.B, k int) {
-	s := benchStream(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunBroadcastConfig(s, benchCopies(k), BroadcastConfig{Push: true})
-	}
-}
-
 func BenchmarkReplayK8(b *testing.B)             { benchmarkReplay(b, 8) }
 func BenchmarkReplayK32(b *testing.B)            { benchmarkReplay(b, 32) }
 func BenchmarkReplayK128(b *testing.B)           { benchmarkReplay(b, 128) }
 func BenchmarkBroadcastK8(b *testing.B)          { benchmarkBroadcast(b, 8) }
 func BenchmarkBroadcastK32(b *testing.B)         { benchmarkBroadcast(b, 32) }
 func BenchmarkBroadcastK128(b *testing.B)        { benchmarkBroadcast(b, 128) }
-func BenchmarkBroadcastPushK32(b *testing.B)     { benchmarkBroadcastPush(b, 32) }
 func BenchmarkBroadcastItemPathK32(b *testing.B) { benchmarkBroadcastItem(b, 32) }
 
 // BenchmarkRunBatchPath / BenchmarkRunItemPath A/B the sequential driver on
@@ -158,19 +146,6 @@ func BenchmarkRunItemPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(s, ItemOnly(&benchEstimator{passes: 2}))
-	}
-}
-
-// BenchmarkBroadcastBatchSize sweeps the batching knob at k = 32.
-func BenchmarkBroadcastBatchSize(b *testing.B) {
-	for _, bs := range []int{64, 256, 1024, 4096} {
-		b.Run(strconv.Itoa(bs), func(b *testing.B) {
-			s := benchStream(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				RunBroadcastConfig(s, benchCopies(32), BroadcastConfig{BatchSize: bs})
-			}
-		})
 	}
 }
 

@@ -86,8 +86,8 @@ func emptyStream(t *testing.T) *Stream {
 
 // TestBroadcastTraceMatchesSequential checks, event for event, that every
 // copy sees exactly the callback sequence sequential Run produces — across
-// copy counts, batch sizes, and worker-pool sizes, including batch sizes
-// that split adjacency lists mid-list.
+// copy counts, windows, and worker-pool sizes, including windows that
+// split adjacency lists mid-list.
 func TestBroadcastTraceMatchesSequential(t *testing.T) {
 	g := randomGraph(30, 0.2, 5)
 	s := Random(g, 3)
@@ -96,9 +96,9 @@ func TestBroadcastTraceMatchesSequential(t *testing.T) {
 	for _, k := range []int{1, 2, 7, 16} {
 		for _, cfg := range []BroadcastConfig{
 			{},
-			{BatchSize: 1},
-			{BatchSize: 3, Workers: 2, QueueDepth: 1},
-			{BatchSize: s.Len(), Workers: 1},
+			{Window: 1},
+			{Window: 3, Workers: 2},
+			{Window: s.Len(), Workers: 1},
 		} {
 			copies := make([]Estimator, k)
 			tracers := make([]*tracer, k)
@@ -278,17 +278,17 @@ func TestMedianBroadcastMatchesMedianReplay(t *testing.T) {
 }
 
 func TestDriverStatsMerge(t *testing.T) {
-	a := DriverStats{Copies: 2, Passes: 1, StreamItemsRead: 10, ItemsDelivered: 20, Batches: 3, PeakQueueDepth: 2}
-	b := DriverStats{Copies: 3, Passes: 2, StreamItemsRead: 5, ItemsDelivered: 15, Batches: 2, PeakQueueDepth: 5}
+	a := DriverStats{Copies: 2, Passes: 1, StreamItemsRead: 10, ItemsDelivered: 20, Batches: 3, Workers: 2}
+	b := DriverStats{Copies: 3, Passes: 2, StreamItemsRead: 5, ItemsDelivered: 15, Batches: 2, Workers: 5}
 	a.Merge(b)
-	want := DriverStats{Copies: 5, Passes: 2, StreamItemsRead: 15, ItemsDelivered: 35, Batches: 5, PeakQueueDepth: 5}
+	want := DriverStats{Copies: 5, Passes: 2, StreamItemsRead: 15, ItemsDelivered: 35, Batches: 5, Workers: 5}
 	if a != want {
 		t.Fatalf("merged = %+v, want %+v", a, want)
 	}
 }
 
 // TestBroadcastRace is the -race regression test: many concurrent copies,
-// small batches, more workers than cores, shared immutable stream.
+// small windows, more workers than cores, shared immutable stream.
 func TestBroadcastRace(t *testing.T) {
 	g := randomGraph(40, 0.25, 8)
 	s := Random(g, 5)
@@ -296,7 +296,7 @@ func TestBroadcastRace(t *testing.T) {
 	for i := range ests {
 		ests[i] = &sumEstimator{tracer: tracer{passes: 2}}
 	}
-	RunBroadcastConfig(s, ests, BroadcastConfig{BatchSize: 16, Workers: 32, QueueDepth: 2})
+	RunBroadcastConfig(s, ests, BroadcastConfig{Window: 16, Workers: 32})
 	first := ests[0].Estimate()
 	for i, e := range ests {
 		if e.Estimate() != first {

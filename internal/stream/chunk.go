@@ -19,8 +19,7 @@ import (
 )
 
 // DefaultChunkItems is the number of items per chunk built by the in-memory
-// stream constructors. It equals DefaultBatchSize so the broadcast driver's
-// default configuration fans out whole chunks without re-slicing.
+// stream constructors, and the cancellation granularity of the drivers.
 const DefaultChunkItems = 1024
 
 // Chunk is one columnar block of a stream: Owners[i]/Nbrs[i] is the i-th
@@ -130,31 +129,6 @@ func decodeChunks(chunks []Chunk, n int) []Item {
 		}
 	}
 	return items
-}
-
-// runsWindow returns the runs of c that fall in the item window [lo, hi),
-// rebased to lo. When lo == 0 the returned slice aliases c.Runs (no
-// allocation — the whole-chunk fan-out path).
-func runsWindow(runs []int32, lo, hi int) []int32 {
-	a := 0
-	for a < len(runs) && int(runs[a]) < lo {
-		a++
-	}
-	b := a
-	for b < len(runs) && int(runs[b]) < hi {
-		b++
-	}
-	if lo == 0 {
-		return runs[a:b]
-	}
-	if a == b {
-		return nil
-	}
-	out := make([]int32, b-a)
-	for i, r := range runs[a:b] {
-		out[i] = r - int32(lo)
-	}
-	return out
 }
 
 // itemOnly hides an estimator's EdgeBatch (if any) from the drivers by

@@ -45,35 +45,6 @@ func TestBuildChunksUnchunkable(t *testing.T) {
 	}
 }
 
-func TestRunsWindow(t *testing.T) {
-	runs := []int32{0, 3, 5, 9}
-	cases := []struct {
-		lo, hi int
-		want   []int32
-	}{
-		{0, 10, []int32{0, 3, 5, 9}},
-		{0, 5, []int32{0, 3}},
-		{3, 7, []int32{0, 2}},
-		{4, 5, nil},
-		{5, 10, []int32{0, 4}},
-		{9, 10, []int32{0}},
-		{10, 12, nil},
-	}
-	for _, tc := range cases {
-		got := runsWindow(runs, tc.lo, tc.hi)
-		if len(got) == 0 && len(tc.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("runsWindow(%v, %d, %d) = %v, want %v", runs, tc.lo, tc.hi, got, tc.want)
-		}
-	}
-	// The whole-chunk window must alias, not copy.
-	if got := runsWindow(runs, 0, 10); &got[0] != &runs[0] {
-		t.Error("runsWindow(lo=0) copied instead of aliasing")
-	}
-}
-
 // TestUnchunkableStreamFallsBack drives a stream whose ids exceed uint32
 // through both drivers: it has no columnar form, so the batch-capable
 // estimator must still see the exact item-path callback sequence.

@@ -139,9 +139,9 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestBroadcastContextCancelMidPass saturates the broadcast producer behind
-// a parked worker, cancels, and checks that the producer abandons the pass,
-// every worker exits, and the stream was not fully read.
+// TestBroadcastContextCancelMidPass parks one broadcast worker on its first
+// edge, cancels, and checks that the run abandons the pass, every worker
+// exits, and the stream was not fully read.
 func TestBroadcastContextCancelMidPass(t *testing.T) {
 	g := randomGraph(80, 0.4, 3)
 	s := Random(g, 2)
@@ -159,7 +159,7 @@ func TestBroadcastContextCancelMidPass(t *testing.T) {
 	}
 	outc := make(chan out, 1)
 	go func() {
-		st, err := RunBroadcastConfigContext(ctx, s, ests, BroadcastConfig{BatchSize: 8, QueueDepth: 1, Workers: len(ests)})
+		st, err := RunBroadcastConfigContext(ctx, s, ests, BroadcastConfig{Workers: len(ests)})
 		outc <- out{st, err}
 	}()
 	<-gate.tripped

@@ -14,14 +14,17 @@
 // [Run] drives one Algorithm over one stream, pass by pass. Multi-copy runs
 // (median amplification, trials) have two drivers with identical per-copy
 // results: [RunParallel] replays the stream once per copy, while
-// [RunBroadcast] reads the stream once per pass and fans each batch out to
+// [RunBroadcast] reads the stream once per pass and fans each window out to
 // every copy — the [DriverStats] it returns quantify the read reduction.
+// Run, [RunSequentialContext] and RunBroadcast share one pass loop and one
+// chunk walk; replay is Run once per copy.
 //
 // # Telemetry
 //
-// When the global registry of internal/telemetry is enabled, both drivers
-// record per-pass wall times, items/sec, delivery counters, and the peak
-// fan-out queue depth under "driver.run.*" and "driver.broadcast.*". With
-// telemetry disabled (the default) the instrumentation is nil-handle
-// no-ops, off the per-item path entirely.
+// When the global registry of internal/telemetry is enabled, the drivers
+// record per-pass wall times, items/sec, delivery and window counters, and
+// the broadcast driver's per-pass worker skew under "driver.run.*" and
+// "driver.broadcast.*". With telemetry disabled (the default) the
+// instrumentation is nil-handle no-ops, off the per-item path entirely,
+// and no clock is read.
 package stream

@@ -33,40 +33,30 @@ func Run(s *Stream, a Algorithm) {
 	_ = RunContext(context.Background(), s, a)
 }
 
-// CancelCheckItems is the cancellation granularity of the sequential driver:
-// RunContext polls ctx once per this many items, so a cancelled run stops
-// within one block, never mid-callback. It matches the broadcast driver's
-// default batch size, where cancellation is checked per batch send.
-const CancelCheckItems = DefaultBatchSize
+// CancelCheckItems is the cancellation granularity of the drivers: a run
+// polls ctx once per chunk, so a cancelled run stops within one chunk,
+// never mid-callback.
+const CancelCheckItems = DefaultChunkItems
 
 // RunContext is Run with cooperative cancellation: it replays s once per
-// pass of a, polling ctx at block boundaries (every CancelCheckItems items)
-// and between passes. On cancellation it abandons the run — the current
-// pass's EndList/EndPass are not delivered, and a's state is unspecified —
-// and returns ctx.Err(). A context that never fires adds no per-item work
-// and yields exactly the callback sequence of Run.
+// pass of a, polling ctx between passes and once per chunk. On
+// cancellation it abandons the run — the current pass's EndList/EndPass
+// are not delivered, and a's state is unspecified — and returns ctx.Err().
+// A context that never fires adds no per-item work and yields exactly the
+// callback sequence of Run.
 func RunContext(ctx context.Context, s *Stream, a Algorithm) error {
-	tt := teleForDriver("run")
-	if s.chunks == nil {
-		tt.noteFallback()
-	}
-	done := ctx.Done()
-	for p := 0; p < a.Passes(); p++ {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		start := tt.startPass()
-		if done == nil {
-			runPass(s, a, p)
-		} else if err := runPassContext(ctx, s, a, p); err != nil {
-			return err
-		}
-		tt.endPass(start, int64(s.Len()), int64(s.Len()))
-	}
-	tt.copies.Add(1)
-	return nil
+	algs := [1]Algorithm{a}
+	_, err := drive(ctx, sameStream(s), algs[:], 1, wholeChunks, teleForDriver("run"))
+	return err
+}
+
+// RunSequentialContext drives every copy over s on the calling goroutine:
+// one traversal per pass, each chunk handed to every copy in turn. Results
+// are those of RunContext on each copy separately; cancellation behaves as
+// in RunContext.
+func RunSequentialContext(ctx context.Context, s *Stream, copies []Estimator) error {
+	_, err := drive(ctx, sameStream(s), algorithms(copies), 1, wholeChunks, teleForDriver("run"))
+	return err
 }
 
 // RunOrders drives a with a (possibly) different stream per pass. All
@@ -83,131 +73,10 @@ func RunOrders(streams []*Stream, a Algorithm) error {
 			return fmt.Errorf("stream: pass %d has m=%d, pass 0 has m=%d", i, streams[i].M(), streams[0].M())
 		}
 	}
-	tt := teleForDriver("run")
-	for _, st := range streams {
-		if st.chunks == nil {
-			tt.noteFallback()
-			break
-		}
-	}
-	for p := 0; p < a.Passes(); p++ {
-		start := tt.startPass()
-		runPass(streams[p], a, p)
-		tt.endPass(start, int64(streams[p].Len()), int64(streams[p].Len()))
-	}
-	tt.copies.Add(1)
-	return nil
-}
-
-func runPass(s *Stream, a Algorithm, p int) {
-	if ba, ok := a.(BatchAlgorithm); ok && s.chunks != nil {
-		runPassBatch(s, ba, p)
-		return
-	}
-	a.StartPass(p)
-	inList := false
-	var cur graph.V
-	for _, it := range s.Items() {
-		if !inList || it.Owner != cur {
-			if inList {
-				a.EndList(cur)
-			}
-			cur = it.Owner
-			inList = true
-			a.StartList(cur)
-		}
-		a.Edge(it.Owner, it.Nbr)
-	}
-	if inList {
-		a.EndList(cur)
-	}
-	a.EndPass(p)
-}
-
-// runPassBatch is the columnar fast path: one EdgeBatch call per chunk, the
-// algorithm handling list transitions internally (see BatchAlgorithm), and
-// the driver closing the final open list before EndPass.
-func runPassBatch(s *Stream, ba BatchAlgorithm, p int) {
-	ba.StartPass(p)
-	var last graph.V
-	open := false
-	for i := range s.chunks {
-		c := &s.chunks[i]
-		if len(c.Owners) == 0 {
-			continue
-		}
-		ba.EdgeBatch(c.Owners, c.Nbrs, c.Runs)
-		last = graph.V(c.Owners[len(c.Owners)-1])
-		open = true
-	}
-	if open {
-		ba.EndList(last)
-	}
-	ba.EndPass(p)
-}
-
-// runPassBatchContext is runPassBatch with a cancellation poll per chunk —
-// the same granularity as the item path's CancelCheckItems blocks, since
-// DefaultChunkItems == CancelCheckItems. An aborted pass stops at a chunk
-// boundary without closing the open list.
-func runPassBatchContext(ctx context.Context, s *Stream, ba BatchAlgorithm, p int) error {
-	ba.StartPass(p)
-	var last graph.V
-	open := false
-	for i := range s.chunks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		c := &s.chunks[i]
-		if len(c.Owners) == 0 {
-			continue
-		}
-		ba.EdgeBatch(c.Owners, c.Nbrs, c.Runs)
-		last = graph.V(c.Owners[len(c.Owners)-1])
-		open = true
-	}
-	if open {
-		ba.EndList(last)
-	}
-	ba.EndPass(p)
-	return nil
-}
-
-// runPassContext is runPass with a cancellation poll every CancelCheckItems
-// items. The callback protocol within a block is identical to runPass; an
-// aborted pass stops at a block boundary without closing the open list.
-func runPassContext(ctx context.Context, s *Stream, a Algorithm, p int) error {
-	if ba, ok := a.(BatchAlgorithm); ok && s.chunks != nil {
-		return runPassBatchContext(ctx, s, ba, p)
-	}
-	a.StartPass(p)
-	inList := false
-	var cur graph.V
-	items := s.Items()
-	for base := 0; base < len(items); base += CancelCheckItems {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := base + CancelCheckItems
-		if end > len(items) {
-			end = len(items)
-		}
-		for _, it := range items[base:end] {
-			if !inList || it.Owner != cur {
-				if inList {
-					a.EndList(cur)
-				}
-				cur = it.Owner
-				inList = true
-				a.StartList(cur)
-			}
-			a.Edge(it.Owner, it.Nbr)
-		}
-	}
-	if inList {
-		a.EndList(cur)
-	}
-	a.EndPass(p)
+	algs := [1]Algorithm{a}
+	streamAt := func(p int) *Stream { return streams[p] }
+	// context.Background never fires, so the run cannot fail.
+	_, _ = drive(context.Background(), streamAt, algs[:], 1, wholeChunks, teleForDriver("run"))
 	return nil
 }
 

@@ -21,7 +21,7 @@ func RunParallel(s *Stream, ests []Estimator) {
 }
 
 // RunParallelContext is RunParallel with cooperative cancellation: every
-// copy runs under ctx (each polling at the RunContext block granularity) and
+// copy runs under ctx (each polling once per chunk, as RunContext does) and
 // a cancelled ctx makes all of them abandon their current pass. It returns
 // ctx.Err() if the run was cancelled — the only error a replay run can
 // produce — after every copy goroutine has exited.
@@ -46,7 +46,7 @@ func RunParallelContext(ctx context.Context, s *Stream, ests []Estimator) error 
 // ReplayStats returns the driver counters of a replay run of ests over s
 // (RunParallel or per-copy Run): each copy reads the stream itself on every
 // one of its passes, and every read is also a delivery. Replay does not
-// batch, so Batches and PeakQueueDepth are zero.
+// fan out, so Batches and Workers are zero.
 func ReplayStats(s *Stream, ests []Estimator) DriverStats {
 	st := DriverStats{Copies: len(ests)}
 	for _, e := range ests {

@@ -2,208 +2,246 @@ package stream
 
 import (
 	"context"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"adjstream/internal/graph"
 )
 
-// Pull-based broadcast executor. The push driver (broadcast.go) moves every
-// chunk through a producer goroutine and per-worker channels, paying a
-// send/recv synchronization per batch and bounding throughput by the
-// producer. But chunks are immutable — and often mmap-ed straight from an
-// "adjC" file — so nothing needs to move at all: each worker iterates
-// Stream.Chunks() directly for its contiguous shard of copies. The only
-// coordination left is a per-pass start/finish barrier (the WaitGroup in
-// pullPass) and an atomic pass counter.
+// The traversal engine. Every driver except replay goes through drive, the
+// one pass loop, and shardPass, the one chunk walk: sequential Run is a
+// one-copy shard walked in whole chunks, and the broadcast driver shards
+// its copies across workers that each walk the shared chunks in small
+// windows. Replay is Run once per copy.
 //
-// The second win is the fan-out window. Fanning a whole 1024-item chunk to
-// copy 1, then copy 2, ... walks each copy's serial dependency chain (its
-// accumulator state) for 1024 items before switching. Fanning a small
-// window instead interleaves the chains at a granularity the CPU's
-// out-of-order engine can overlap: copy i+1's window is independent of copy
-// i's, so their work pipelines even on a single core. Measured on the
-// BroadcastK32 shape, a 32-item window is ~1.35x the chunk-at-a-time rate;
-// the window is a knob (BroadcastConfig.Window) because the sweet spot
-// depends on per-copy state size.
+// Chunks are immutable — and often mmap-ed straight from an "adjC" file —
+// so nothing moves between workers: each worker iterates Stream.Chunks()
+// directly for its contiguous shard of copies. The only coordination is a
+// per-pass finish barrier (the WaitGroup in pullPass).
+//
+// The fan-out window is the broadcast driver's second win. Fanning a whole
+// 1024-item chunk to copy 1, then copy 2, ... walks each copy's serial
+// dependency chain (its accumulator state) for 1024 items before
+// switching. Fanning a small window instead interleaves the chains at a
+// granularity the CPU's out-of-order engine can overlap: copy i+1's window
+// is independent of copy i's, so their work pipelines even on a single
+// core. Measured on the BroadcastK32 shape, a 32-item window is ~1.35x the
+// chunk-at-a-time rate; the window is a knob (BroadcastConfig.Window)
+// because the sweet spot depends on per-copy state size.
 
-// DefaultPullWindow is the pull executor's fan-out window (in stream items)
-// when BroadcastConfig.Window is zero. Small enough that the independent
-// copies' dependency chains overlap in the out-of-order window, large
-// enough that per-window loop overhead stays negligible.
+// DefaultPullWindow is the broadcast driver's fan-out window (in stream
+// items) when BroadcastConfig.Window is zero. Small enough that the
+// independent copies' dependency chains overlap in the out-of-order
+// window, large enough that per-window loop overhead stays negligible.
 const DefaultPullWindow = 32
 
-// runPullBroadcast drives ests over s with the pull executor. Counter
-// semantics match the push driver: StreamItemsRead counts one logical
-// stream read per pass (workers share the chunks; the read is counted once,
-// not per worker), ItemsDelivered counts callback deliveries summed over
-// copies, and Batches counts windows iterated summed over workers.
-func runPullBroadcast(ctx context.Context, s *Stream, ests []Estimator, cfg BroadcastConfig) (DriverStats, error) {
+// wholeChunks is the sequential driver's window: every copy gets each
+// chunk in one EdgeBatch call, exactly the batches the stream stores.
+const wholeChunks = math.MaxInt32
+
+// sameStream is the pass schedule of a run whose every pass reads s.
+func sameStream(s *Stream) func(int) *Stream {
+	return func(int) *Stream { return s }
+}
+
+// algorithms views estimators as the Algorithms the engine drives.
+func algorithms(ests []Estimator) []Algorithm {
+	algs := make([]Algorithm, len(ests))
+	for i, e := range ests {
+		algs[i] = e
+	}
+	return algs
+}
+
+// drive is the pass loop. Pass p reads streamAt(p) once for the algorithms
+// still active in it (Passes() > p), sharded contiguously across at most
+// workers workers that walk the stream in windows of window items. ctx is
+// polled between passes and, inside a pass, once per chunk; on
+// cancellation the run stops there — the open list and pass are not
+// closed — and drive returns ctx.Err() with the counters so far.
+func drive(ctx context.Context, streamAt func(p int) *Stream, algs []Algorithm, workers, window int, tt driverTele) (DriverStats, error) {
 	maxPasses := 0
-	for _, e := range ests {
-		if p := e.Passes(); p > maxPasses {
+	for _, a := range algs {
+		if p := a.Passes(); p > maxPasses {
 			maxPasses = p
 		}
 	}
-	var dc driverCounters
-	tt := teleForDriver("broadcast")
-	if s.chunks == nil {
-		tt.noteFallback()
-	}
+	st := DriverStats{Copies: len(algs)}
 	done := ctx.Done()
-	var runErr error
-	var passCount atomic.Int64
-	maxWorkers := 0
-	var maxSkew int64
-	for p := 0; p < maxPasses; p++ {
+	fellBack := false
+	var err error
+	for p := 0; p < maxPasses && err == nil; p++ {
 		if done != nil {
-			if err := ctx.Err(); err != nil {
-				runErr = err
+			if err = ctx.Err(); err != nil {
 				break
 			}
 		}
-		active := ests[:0:0]
-		for _, e := range ests {
-			if e.Passes() > p {
-				active = append(active, e)
-			}
+		s := streamAt(p)
+		if s.chunks == nil && !fellBack {
+			tt.noteFallback()
+			fellBack = true
 		}
+		active := activeIn(algs, p)
 		start := tt.startPass()
-		skew, workers, err := pullPass(ctx, s, active, p, cfg, &dc)
+		err = pullPass(ctx, s, active, p, workers, window, &st, tt)
 		tt.endPass(start, int64(s.Len()), int64(s.Len())*int64(len(active)))
-		tt.observeSkew(skew)
-		if workers > maxWorkers {
-			maxWorkers = workers
-		}
-		if skew > maxSkew {
-			maxSkew = skew
-		}
-		passCount.Add(1)
-		if err != nil {
-			runErr = err
-			break
-		}
+		st.Passes = p + 1
 	}
-	tt.copies.Add(int64(len(ests)))
-	st := dc.snapshot(len(ests), int(passCount.Load()))
-	st.Workers = maxWorkers
-	st.PassSkewNS = maxSkew
 	tt.batches.Add(st.Batches)
-	return st, runErr
+	if err == nil {
+		tt.copies.Add(int64(len(algs)))
+	}
+	return st, err
 }
 
-// pullPass runs pass p: each worker traverses the shared chunks for its
-// contiguous shard of the active copies. Returns the wall-time skew across
-// workers (slowest minus fastest; zero when the pass ran inline on one
-// worker) and the worker count used. The WaitGroup is the pass finish
-// barrier; the start barrier is implicit in the goroutine launches.
-func pullPass(ctx context.Context, s *Stream, active []Estimator, p int, cfg BroadcastConfig, dc *driverCounters) (skewNS int64, workers int, err error) {
+// activeIn returns the algorithms taking part in pass p: algs itself when
+// all of them do, a filtered copy otherwise.
+func activeIn(algs []Algorithm, p int) []Algorithm {
+	n := 0
+	for _, a := range algs {
+		if a.Passes() > p {
+			n++
+		}
+	}
+	if n == len(algs) {
+		return algs
+	}
+	active := make([]Algorithm, 0, n)
+	for _, a := range algs {
+		if a.Passes() > p {
+			active = append(active, a)
+		}
+	}
+	return active
+}
+
+// shardResult is one worker's share of a pass.
+type shardResult struct {
+	delivered int64 // callback deliveries, summed over the shard
+	windows   int64 // windows iterated
+	wallNS    int64 // worker wall time, read only for the skew histogram
+	err       error
+}
+
+// pullPass runs pass p of active over s and adds its counters to st. With
+// one worker the pass runs inline on the calling goroutine; otherwise each
+// worker walks s for a contiguous shard of active and the WaitGroup is the
+// pass's finish barrier. Worker wall times are read only when the skew
+// histogram is bound, so a disabled registry costs no clock reads.
+func pullPass(ctx context.Context, s *Stream, active []Algorithm, p, workers, window int, st *DriverStats, tt driverTele) error {
 	if len(active) == 0 {
-		return 0, 0, nil
+		return nil
 	}
-	workers = workersFor(cfg, len(active))
+	workers = min(max(workers, 1), len(active))
+	st.Workers = max(st.Workers, workers)
+	// One logical stream read per pass, shared by all workers.
+	st.StreamItemsRead += int64(s.Len())
 	if workers == 1 {
-		// Single worker: run inline, no goroutine, no clock reads.
-		delivered, windows, err := pullShardPass(ctx, s, active, p, cfg.Window)
-		dc.itemsDelivered.Add(delivered)
-		dc.batches.Add(windows)
-		dc.streamItemsRead.Add(int64(s.Len()))
-		return 0, 1, err
+		r := shardPass(ctx, s, active, p, window)
+		st.ItemsDelivered += r.delivered
+		st.Batches += r.windows
+		return r.err
 	}
+	timed := tt.skew != nil
+	res := make([]shardResult, workers)
 	var wg sync.WaitGroup
-	walls := make([]int64, workers)
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
+	for w := range res {
 		lo, hi := shardBounds(len(active), workers, w)
+		// The shard is copied so the caller's slice never escapes to the
+		// worker goroutines (it stays on the stack for sequential runs).
+		shard := append([]Algorithm(nil), active[lo:hi]...)
 		wg.Add(1)
-		go func(w int, shard []Estimator) {
+		go func(r *shardResult) {
 			defer wg.Done()
-			start := time.Now()
-			delivered, windows, err := pullShardPass(ctx, s, shard, p, cfg.Window)
-			walls[w] = int64(time.Since(start))
-			errs[w] = err
-			dc.itemsDelivered.Add(delivered)
-			dc.batches.Add(windows)
-		}(w, active[lo:hi])
+			var start time.Time
+			if timed {
+				start = time.Now()
+			}
+			*r = shardPass(ctx, s, shard, p, window)
+			if timed {
+				r.wallNS = int64(time.Since(start))
+			}
+		}(&res[w])
 	}
 	wg.Wait()
-	// One logical stream read per pass, shared by all workers.
-	dc.streamItemsRead.Add(int64(s.Len()))
-	minW, maxW := walls[0], walls[0]
-	for _, v := range walls[1:] {
-		if v < minW {
-			minW = v
-		}
-		if v > maxW {
-			maxW = v
-		}
-	}
-	for _, e := range errs {
-		if e != nil {
-			err = e
-			break
+	var err error
+	minW, maxW := res[0].wallNS, res[0].wallNS
+	for _, r := range res {
+		st.ItemsDelivered += r.delivered
+		st.Batches += r.windows
+		minW, maxW = min(minW, r.wallNS), max(maxW, r.wallNS)
+		if err == nil {
+			err = r.err
 		}
 	}
-	return maxW - minW, workers, err
+	if timed {
+		tt.skew.Observe(maxW - minW)
+	}
+	return err
 }
 
-// pullShardPass replays pass p to every copy in shard by iterating the
-// chunks directly in windows of window items. Batch-capable copies get
-// EdgeBatch per window with run offsets rebased to the window (aliased when
-// the window starts a chunk, copied into a reused scratch otherwise); the
-// rest get the item protocol decoded from the columns, with the list cursor
-// carried across windows and chunks. The final open list is closed before
-// EndPass, exactly as the other drivers do. Cancellation is polled per
-// chunk. Returns deliveries and windows iterated.
-func pullShardPass(ctx context.Context, s *Stream, shard []Estimator, p int, window int) (delivered, windows int64, err error) {
+// shardBounds splits n copies across k workers into contiguous ranges.
+func shardBounds(n, k, w int) (lo, hi int) {
+	lo = w * n / k
+	hi = (w + 1) * n / k
+	return lo, hi
+}
+
+// shardPass replays pass p to every algorithm in shard by iterating the
+// chunks directly in windows of window items, copy by copy within each
+// window. Batch-capable algorithms get EdgeBatch per window with run
+// offsets rebased to the window (aliased when the window starts a chunk,
+// copied into a reused scratch otherwise); the rest get the item protocol
+// decoded from the columns (see feedItems), with the open list carried
+// across windows and chunks. The final open list is closed before EndPass.
+// Cancellation is polled per chunk.
+func shardPass(ctx context.Context, s *Stream, shard []Algorithm, p, window int) (r shardResult) {
 	if s.chunks == nil {
-		return pullShardPassItems(ctx, s, shard, p, window)
+		return shardPassItems(ctx, s, shard, p, window)
 	}
-	var batchers []BatchAlgorithm
-	var itemized []Estimator
-	for _, e := range shard {
-		if ba, ok := e.(BatchAlgorithm); ok {
+	// Stack room for a one-copy shard, so a sequential pass allocates
+	// nothing.
+	var bbuf [1]BatchAlgorithm
+	var ibuf [1]Algorithm
+	batchers, itemized := bbuf[:0], ibuf[:0]
+	for _, a := range shard {
+		if ba, ok := a.(BatchAlgorithm); ok {
 			batchers = append(batchers, ba)
 		} else {
-			itemized = append(itemized, e)
+			itemized = append(itemized, a)
 		}
-	}
-	for _, e := range shard {
-		e.StartPass(p)
+		a.StartPass(p)
 	}
 	done := ctx.Done()
 	var scratch []int32
-	inList := false
-	var cur, last graph.V
+	var cur graph.V // owner of the open list, the last item's owner
 	open := false
 	for ci := range s.chunks {
 		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return delivered, windows, err
+			if r.err = ctx.Err(); r.err != nil {
+				return r
 			}
 		}
 		c := &s.chunks[ci]
-		if len(c.Owners) == 0 {
-			continue
-		}
 		ri := 0
 		for i := 0; i < len(c.Owners); i += window {
-			j := i + window
-			if j > len(c.Owners) {
-				j = len(c.Owners)
-			}
-			a := ri
-			for ri < len(c.Runs) && int(c.Runs[ri]) < j {
-				ri++
+			j := min(i+window, len(c.Owners))
+			r0 := ri
+			if j == len(c.Owners) {
+				ri = len(c.Runs)
+			} else {
+				for ri < len(c.Runs) && int(c.Runs[ri]) < j {
+					ri++
+				}
 			}
 			var runs []int32
 			if i == 0 {
-				runs = c.Runs[a:ri]
-			} else if ri > a {
+				runs = c.Runs[r0:ri]
+			} else if ri > r0 {
 				scratch = scratch[:0]
-				for _, r := range c.Runs[a:ri] {
-					scratch = append(scratch, r-int32(i))
+				for _, off := range c.Runs[r0:ri] {
+					scratch = append(scratch, off-int32(i))
 				}
 				runs = scratch
 			}
@@ -211,103 +249,92 @@ func pullShardPass(ctx context.Context, s *Stream, shard []Estimator, p int, win
 			for _, ba := range batchers {
 				ba.EdgeBatch(owners, nbrs, runs)
 			}
-			if len(itemized) > 0 {
-				ii := 0
-				for _, r := range runs {
-					for ; ii < int(r); ii++ {
-						o, n := graph.V(owners[ii]), graph.V(nbrs[ii])
-						for _, e := range itemized {
-							e.Edge(o, n)
-						}
-					}
-					if inList {
-						for _, e := range itemized {
-							e.EndList(cur)
-						}
-					}
-					cur = graph.V(owners[r])
-					inList = true
-					for _, e := range itemized {
-						e.StartList(cur)
-					}
-				}
-				for ; ii < len(owners); ii++ {
-					o, n := graph.V(owners[ii]), graph.V(nbrs[ii])
-					for _, e := range itemized {
-						e.Edge(o, n)
-					}
-				}
+			for _, a := range itemized {
+				feedItems(a, owners, nbrs, runs, open, cur)
 			}
-			windows++
-			delivered += int64(j-i) * int64(len(shard))
+			cur, open = graph.V(owners[len(owners)-1]), true
+			r.windows++
 		}
-		last = graph.V(c.Owners[len(c.Owners)-1])
-		open = true
+		r.delivered += int64(len(c.Owners)) * int64(len(shard))
 	}
-	if open {
-		for _, ba := range batchers {
-			ba.EndList(last)
+	for _, a := range shard {
+		if open {
+			a.EndList(cur)
 		}
+		a.EndPass(p)
 	}
-	if inList {
-		for _, e := range itemized {
-			e.EndList(cur)
-		}
-	}
-	for _, e := range shard {
-		e.EndPass(p)
-	}
-	return delivered, windows, nil
+	return r
 }
 
-// pullShardPassItems is pullShardPass for streams without chunks (ids
-// beyond uint32): the legacy []Item walk, windowed the same way so the
-// interleaving benefit survives the fallback.
-func pullShardPassItems(ctx context.Context, s *Stream, shard []Estimator, p int, window int) (delivered, windows int64, err error) {
-	for _, e := range shard {
-		e.StartPass(p)
+// feedItems delivers one window to a as item callbacks: at each run offset
+// it closes the open list (cur, when open) and starts the next one, and it
+// calls Edge once per item.
+func feedItems(a Algorithm, owners, nbrs []uint32, runs []int32, open bool, cur graph.V) {
+	nbrs = nbrs[:len(owners)] // one bounds check per window, not per item
+	i := 0
+	for _, off := range runs {
+		for ; i < int(off); i++ {
+			a.Edge(graph.V(owners[i]), graph.V(nbrs[i]))
+		}
+		if open {
+			a.EndList(cur)
+		}
+		cur, open = graph.V(owners[off]), true
+		a.StartList(cur)
+	}
+	for ; i < len(owners); i++ {
+		a.Edge(graph.V(owners[i]), graph.V(nbrs[i]))
+	}
+}
+
+// shardPassItems is shardPass for streams without chunks (ids beyond
+// uint32): the []Item walk, cut into DefaultChunkItems-item blocks — its
+// cancellation points — and windows within them, as if the rows were
+// chunked.
+func shardPassItems(ctx context.Context, s *Stream, shard []Algorithm, p, window int) (r shardResult) {
+	for _, a := range shard {
+		a.StartPass(p)
 	}
 	items := s.Items()
 	done := ctx.Done()
 	inList := false
 	var cur graph.V
-	for base := 0; base < len(items); base += window {
+	for base := 0; base < len(items); base += DefaultChunkItems {
 		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return delivered, windows, err
+			if r.err = ctx.Err(); r.err != nil {
+				return r
 			}
 		}
-		end := base + window
-		if end > len(items) {
-			end = len(items)
-		}
-		for _, it := range items[base:end] {
-			if !inList || it.Owner != cur {
-				if inList {
-					for _, e := range shard {
-						e.EndList(cur)
+		block := items[base:min(base+DefaultChunkItems, len(items))]
+		for i := 0; i < len(block); i += window {
+			for _, it := range block[i:min(i+window, len(block))] {
+				if !inList || it.Owner != cur {
+					if inList {
+						for _, a := range shard {
+							a.EndList(cur)
+						}
+					}
+					cur = it.Owner
+					inList = true
+					for _, a := range shard {
+						a.StartList(cur)
 					}
 				}
-				cur = it.Owner
-				inList = true
-				for _, e := range shard {
-					e.StartList(cur)
+				for _, a := range shard {
+					a.Edge(it.Owner, it.Nbr)
 				}
 			}
-			for _, e := range shard {
-				e.Edge(it.Owner, it.Nbr)
-			}
+			r.windows++
 		}
-		windows++
-		delivered += int64(end-base) * int64(len(shard))
+		r.delivered += int64(len(block)) * int64(len(shard))
 	}
 	if inList {
-		for _, e := range shard {
-			e.EndList(cur)
+		for _, a := range shard {
+			a.EndList(cur)
 		}
 	}
-	for _, e := range shard {
-		e.EndPass(p)
+	for _, a := range shard {
+		a.EndPass(p)
 	}
-	return delivered, windows, nil
+	return r
 }

@@ -13,7 +13,7 @@ import (
 // nil check — the ≤2% BenchmarkDriver overhead budget of DESIGN.md §4d.
 //
 // Metric names, per driver ("run" for the sequential driver, "broadcast"
-// for the pull fan-out executor, "push" for the legacy push fan-out):
+// for the fan-out driver):
 //
 //	driver.<name>.pass_ns         histogram — wall time per stream pass
 //	driver.<name>.items_per_sec   gauge     — throughput of the last pass
@@ -21,10 +21,11 @@ import (
 //	driver.<name>.items_delivered counter   — items delivered to copies
 //	driver.<name>.passes          counter   — stream traversals completed
 //	driver.<name>.copies          counter   — estimator copies completed
-//	driver.<name>.batches         counter   — batch sends / windows iterated
-//	driver.push.queue_depth       high-water — peak per-worker backlog
-//	driver.broadcast.pass_skew_ns histogram — per-pass worker wall-time
-//	                                          spread (stragglers)
+//	driver.<name>.batches         counter   — windows iterated (chunks,
+//	                                          for the sequential driver)
+//	driver.broadcast.pass_skew_ns histogram — per multi-worker pass, the
+//	                                          worker wall-time spread
+//	                                          (stragglers)
 //
 // One name is global rather than per driver, because it flags a stream
 // property every driver hits the same way:
@@ -40,7 +41,6 @@ type driverTele struct {
 	passes      *telemetry.Counter
 	copies      *telemetry.Counter
 	batches     *telemetry.Counter
-	queueDepth  *telemetry.HighWater
 	skew        *telemetry.Histogram
 	fallbacks   *telemetry.Counter
 }
@@ -61,18 +61,9 @@ func teleForDriver(name string) driverTele {
 		passes:      r.Counter(prefix + "passes"),
 		copies:      r.Counter(prefix + "copies"),
 		batches:     r.Counter(prefix + "batches"),
-		queueDepth:  r.HighWater(prefix + "queue_depth"),
 		skew:        r.Histogram(prefix + "pass_skew_ns"),
 		fallbacks:   r.Counter("stream.driver.item_path_fallbacks"),
 	}
-}
-
-// observeSkew records one pass's worker wall-time spread.
-func (t driverTele) observeSkew(ns int64) {
-	if t.skew == nil {
-		return
-	}
-	t.skew.Observe(ns)
 }
 
 // noteFallback records one driver run that fell back to the []Item walk

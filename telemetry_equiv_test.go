@@ -47,7 +47,7 @@ func runRoster(t *testing.T, mk func(seed uint64) (stream.Estimator, error), s *
 		ests[i] = e
 	}
 	if broadcast {
-		stream.RunBroadcastConfig(s, ests, stream.BroadcastConfig{BatchSize: 37})
+		stream.RunBroadcastConfig(s, ests, stream.BroadcastConfig{Window: 37})
 	} else {
 		for _, e := range ests {
 			stream.Run(s, e)
