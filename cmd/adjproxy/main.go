@@ -40,40 +40,21 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"adjstream/internal/cluster"
+	"adjstream/internal/daemon"
 	"adjstream/internal/serve"
-	"adjstream/internal/telemetry"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// writeSnapshot dumps the telemetry registry to w, sorted by metric name.
-func writeSnapshot(w io.Writer, reg *telemetry.Registry) {
-	snap := reg.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "%s\t%g\n", name, snap[name])
-	}
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -127,115 +108,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cat := serve.NewCatalog()
-	cat.SetMergePolicy(*mergeThreshold, *maxVersions)
-	if *demo {
-		if err := serve.LoadDemo(cat); err != nil {
-			fmt.Fprintln(stderr, "adjproxy:", err)
-			return 1
-		}
-	}
-	if *graphsDir != "" {
-		n, err := cat.LoadDir(*graphsDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "adjproxy:", err)
-			return 1
-		}
-		if n == 0 && !*demo {
-			fmt.Fprintf(stderr, "adjproxy: no edge-list files in %s\n", *graphsDir)
-			return 1
-		}
-	}
-
-	var reg *telemetry.Registry
-	if *teleAddr != "" {
-		ln, err := telemetry.Listen(*teleAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "adjproxy:", err)
-			return 1
-		}
-		defer ln.Close()
-		reg = telemetry.Global()
-		fmt.Fprintf(stdout, "telemetry on http://%s/debug/vars\n", ln.Addr())
-	}
-
-	sched, err := cluster.New(cluster.Config{
-		Replicas:      fleet,
-		ShardTimeout:  *shardTimeout,
-		Attempts:      *shardRetries,
-		HedgeAfter:    *hedgeAfter,
-		ProbeInterval: *probeInterval,
-		MaxShards:     *maxShards,
-		VirtualNodes:  *vnodes,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "adjproxy:", err)
-		return 1
-	}
-	defer sched.Close()
-
 	entries := *cacheEntries
 	if *noCache || entries == 0 {
 		entries = -1
 	}
-	srv := serve.New(cat, serve.Config{
-		Workers:         *workers,
-		Queue:           *queue,
-		MaxTimeout:      *maxTimeout,
-		CacheEntries:    entries,
-		CacheTTL:        *cacheTTL,
-		Remote:          sched.Run,
-		NoLocalFallback: *noFallback,
-		RemoteIngest:    sched.Mutate,
-	})
-	hs := &http.Server{Handler: srv.Handler()}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(stderr, "adjproxy:", err)
-		return 1
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, "adjproxy:", err)
-			return 1
+	var sched *cluster.Scheduler
+	defer func() {
+		if sched != nil {
+			sched.Close()
 		}
-	}
-	fmt.Fprintf(stdout, "proxying %d graphs to %d replicas on http://%s\n",
-		cat.Len(), len(fleet), ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		fmt.Fprintln(stderr, "adjproxy:", err)
-		return 1
-	case <-ctx.Done():
-	}
-
-	// Drain: fail readiness and reject new estimation work first, then
-	// wait for in-flight requests before closing connections.
-	fmt.Fprintln(stdout, "draining...")
-	srv.SetDraining(true)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.DrainWait(drainCtx); err != nil {
-		fmt.Fprintln(stderr, "adjproxy: drain timeout, aborting in-flight requests")
-		hs.Close()
-	} else if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(stderr, "adjproxy:", err)
-		hs.Close()
-	}
-	<-errc // Serve has returned http.ErrServerClosed
-
-	if reg != nil {
-		fmt.Fprintln(stderr, "final telemetry snapshot:")
-		writeSnapshot(stderr, reg)
-	}
-	fmt.Fprintln(stdout, "bye")
-	return 0
+	}()
+	return daemon.Run(daemon.Config{
+		Name:           "adjproxy",
+		Listen:         *listen,
+		AddrFile:       *addrFile,
+		GraphsDir:      *graphsDir,
+		Demo:           *demo,
+		MergeThreshold: *mergeThreshold,
+		MaxVersions:    *maxVersions,
+		DrainTimeout:   *drainTimeout,
+		TeleAddr:       *teleAddr,
+	}, stdout, stderr, func(cat *serve.Catalog) (*serve.Server, func(net.Addr) string, error) {
+		var err error
+		sched, err = cluster.New(cluster.Config{
+			Replicas:      fleet,
+			ShardTimeout:  *shardTimeout,
+			Attempts:      *shardRetries,
+			HedgeAfter:    *hedgeAfter,
+			ProbeInterval: *probeInterval,
+			MaxShards:     *maxShards,
+			VirtualNodes:  *vnodes,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		srv := serve.New(cat, serve.Config{
+			Workers:         *workers,
+			Queue:           *queue,
+			MaxTimeout:      *maxTimeout,
+			CacheEntries:    entries,
+			CacheTTL:        *cacheTTL,
+			Remote:          sched.Run,
+			NoLocalFallback: *noFallback,
+			RemoteIngest:    sched.Mutate,
+		})
+		return srv, func(addr net.Addr) string {
+			return fmt.Sprintf("proxying %d graphs to %d replicas on http://%s", cat.Len(), len(fleet), addr)
+		}, nil
+	})
 }

@@ -35,38 +35,19 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"sort"
-	"syscall"
 	"time"
 
+	"adjstream/internal/daemon"
 	"adjstream/internal/serve"
-	"adjstream/internal/telemetry"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// writeSnapshot dumps the telemetry registry to w, sorted by metric name.
-func writeSnapshot(w io.Writer, reg *telemetry.Registry) {
-	snap := reg.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "%s\t%g\n", name, snap[name])
-	}
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -98,97 +79,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cat := serve.NewCatalog()
-	cat.SetMergePolicy(*mergeThreshold, *maxVersions)
-	if *demo {
-		if err := serve.LoadDemo(cat); err != nil {
-			fmt.Fprintln(stderr, "adjserved:", err)
-			return 1
-		}
-	}
-	if *graphsDir != "" {
-		n, err := cat.LoadDir(*graphsDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "adjserved:", err)
-			return 1
-		}
-		if n == 0 && !*demo {
-			fmt.Fprintf(stderr, "adjserved: no edge-list files in %s\n", *graphsDir)
-			return 1
-		}
-	}
-
-	var reg *telemetry.Registry
-	if *teleAddr != "" {
-		ln, err := telemetry.Listen(*teleAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "adjserved:", err)
-			return 1
-		}
-		defer ln.Close()
-		reg = telemetry.Global()
-		fmt.Fprintf(stdout, "telemetry on http://%s/debug/vars\n", ln.Addr())
-	}
-
 	entries := *cacheEntries
 	if *noCache || entries == 0 {
 		entries = -1
 	}
-	srv := serve.New(cat, serve.Config{
-		Workers:      *workers,
-		Queue:        *queue,
-		MaxTimeout:   *maxTimeout,
-		CacheEntries: entries,
-		CacheTTL:     *cacheTTL,
+	return daemon.Run(daemon.Config{
+		Name:           "adjserved",
+		Listen:         *listen,
+		AddrFile:       *addrFile,
+		GraphsDir:      *graphsDir,
+		Demo:           *demo,
+		MergeThreshold: *mergeThreshold,
+		MaxVersions:    *maxVersions,
+		DrainTimeout:   *drainTimeout,
+		TeleAddr:       *teleAddr,
+	}, stdout, stderr, func(cat *serve.Catalog) (*serve.Server, func(net.Addr) string, error) {
+		srv := serve.New(cat, serve.Config{
+			Workers:      *workers,
+			Queue:        *queue,
+			MaxTimeout:   *maxTimeout,
+			CacheEntries: entries,
+			CacheTTL:     *cacheTTL,
+		})
+		return srv, func(addr net.Addr) string {
+			return fmt.Sprintf("serving %d graphs on http://%s (workers %d, queue %d)",
+				cat.Len(), addr, srv.Pool().Workers(), srv.Pool().Queue())
+		}, nil
 	})
-	hs := &http.Server{Handler: srv.Handler()}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(stderr, "adjserved:", err)
-		return 1
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, "adjserved:", err)
-			return 1
-		}
-	}
-	fmt.Fprintf(stdout, "serving %d graphs on http://%s (workers %d, queue %d)\n",
-		cat.Len(), ln.Addr(), srv.Pool().Workers(), srv.Pool().Queue())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		fmt.Fprintln(stderr, "adjserved:", err)
-		return 1
-	case <-ctx.Done():
-	}
-
-	// Drain: fail readiness and reject new estimation work first, then
-	// wait for in-flight requests before closing connections.
-	fmt.Fprintln(stdout, "draining...")
-	srv.SetDraining(true)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.DrainWait(drainCtx); err != nil {
-		fmt.Fprintln(stderr, "adjserved: drain timeout, aborting in-flight requests")
-		hs.Close()
-	} else if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(stderr, "adjserved:", err)
-		hs.Close()
-	}
-	<-errc // Serve has returned http.ErrServerClosed
-
-	if reg != nil {
-		fmt.Fprintln(stderr, "final telemetry snapshot:")
-		writeSnapshot(stderr, reg)
-	}
-	fmt.Fprintln(stdout, "bye")
-	return 0
 }

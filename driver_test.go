@@ -83,7 +83,7 @@ func TestBroadcastMatchesSequentialAllEstimators(t *testing.T) {
 				stream.Run(s, a)
 				seq[i], par[i] = a, b
 			}
-			st := stream.RunBroadcastConfig(s, par, stream.BroadcastConfig{Window: 37})
+			st := stream.RunBroadcastConfig(s, par, stream.BroadcastConfig{Window: 37, Workers: 2})
 			for i := 0; i < k; i++ {
 				if got, want := par[i].Estimate(), seq[i].Estimate(); got != want {
 					t.Errorf("copy %d: broadcast estimate %v != sequential %v", i, got, want)

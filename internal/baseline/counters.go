@@ -19,7 +19,6 @@ type StreamStats struct {
 	p2      int64
 	degSq   int64
 	started bool
-	cur     stream.ListCursor
 }
 
 var _ stream.Algorithm = (*StreamStats)(nil)
@@ -31,7 +30,7 @@ func NewStreamStats() *StreamStats { return &StreamStats{} }
 func (c *StreamStats) Passes() int { return 1 }
 
 // StartPass implements stream.Algorithm.
-func (c *StreamStats) StartPass(p int) { c.cur = stream.ListCursor{} }
+func (c *StreamStats) StartPass(p int) {}
 
 // StartList implements stream.Algorithm.
 func (c *StreamStats) StartList(owner graph.V) {

@@ -16,7 +16,6 @@ type ExactStream struct {
 	builder  *graph.Builder
 	items    int64
 	meter    space.Meter
-	cur      stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap *stream.CopyState
@@ -38,7 +37,7 @@ func NewExactStream(cycleLen int) (*ExactStream, error) {
 func (e *ExactStream) Passes() int { return 1 }
 
 // StartPass implements stream.Algorithm.
-func (e *ExactStream) StartPass(p int) { e.cur = stream.ListCursor{} }
+func (e *ExactStream) StartPass(p int) {}
 
 // StartList implements stream.Algorithm.
 func (e *ExactStream) StartList(owner graph.V) {}

@@ -67,7 +67,6 @@ type OnePassTriangle struct {
 	m     int64
 	found int64
 	meter space.Meter
-	cur   stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap *stream.CopyState
@@ -107,7 +106,7 @@ func NewOnePassTriangle(cfg Config) (*OnePassTriangle, error) {
 func (o *OnePassTriangle) Passes() int { return 1 }
 
 // StartPass implements stream.Algorithm.
-func (o *OnePassTriangle) StartPass(p int) { o.cur = stream.ListCursor{} }
+func (o *OnePassTriangle) StartPass(p int) {}
 
 // StartList implements stream.Algorithm.
 func (o *OnePassTriangle) StartList(owner graph.V) {}

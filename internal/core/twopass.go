@@ -83,7 +83,6 @@ type TwoPassTriangle struct {
 	meter  space.Meter
 	tele   estTele
 	inList bool
-	cur    stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap      *stream.CopyState
@@ -124,7 +123,6 @@ func (t *TwoPassTriangle) StartPass(p int) {
 	t.pass = p
 	t.pos = 0
 	t.inList = false
-	t.cur = stream.ListCursor{}
 }
 
 // StartList implements stream.Algorithm.

@@ -625,6 +625,7 @@ func TestValidationBeforeAdmission(t *testing.T) {
 	}()
 	waitEntered(t, g)
 
+	pad := strings.Repeat(" ", maxRequestBody)
 	invalid := []struct {
 		name string
 		path string
@@ -637,11 +638,22 @@ func TestValidationBeforeAdmission(t *testing.T) {
 		{"bad order", "/v1/estimate", `{"graph":"k6","algorithm":"exact","order":"shuffled"}`, http.StatusBadRequest},
 		{"bad cycle len", "/v1/distinguish", `{"graph":"k6","cycle_len":2}`, http.StatusBadRequest},
 		{"conflicting copies", "/v1/estimate", `{"graph":"k6","algorithm":"exact","copies":3,"confidence":0.9}`, http.StatusBadRequest},
+		// Oversize bodies: valid JSON once the padding is read, so only the
+		// body limit rejects them.
+		{"oversize estimate", "/v1/estimate", `{"graph":"k6","algorithm":"exact"` + pad + `}`, http.StatusBadRequest},
+		{"oversize distinguish", "/v1/distinguish", `{"graph":"k6"` + pad + `}`, http.StatusBadRequest},
+		{"oversize batch", "/v1/estimate/batch", `{"requests":[{"graph":"k6","algorithm":"exact"}]` + pad + `}`, http.StatusBadRequest},
+		{"oversize shard", "/v1/shard", `{"graph":"k6","algorithm":"exact","copy_lo":0,"copy_hi":1` + pad + `}`, http.StatusBadRequest},
 	}
 	for _, tc := range invalid {
-		code, _, _ := postRaw(t, ts, tc.path, tc.body)
+		code, _, body := postRaw(t, ts, tc.path, tc.body)
 		if code != tc.want {
 			t.Errorf("%s under saturation: status = %d, want %d", tc.name, code, tc.want)
+		}
+		var er ErrorResponse
+		if strings.HasPrefix(tc.name, "oversize") &&
+			(json.Unmarshal(body, &er) != nil || er.Error.Code != "invalid_options" || !strings.Contains(er.Error.Message, "exceeds")) {
+			t.Errorf("%s: body %.200q, want the invalid_options envelope naming the limit", tc.name, body)
 		}
 	}
 	if rejected := srv.Pool().Rejected(); rejected != 0 {

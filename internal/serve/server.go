@@ -474,6 +474,26 @@ func writeMethodNotAllowed(w http.ResponseWriter, allow string) int {
 	return http.StatusMethodNotAllowed
 }
 
+// maxRequestBody bounds the JSON body of an estimate, distinguish, batch or
+// shard request — far above any valid one (a full batch is tens of KiB) —
+// so an untrusted client cannot make the decoder buffer without limit.
+const maxRequestBody = 1 << 20
+
+// decodeRequest decodes r's JSON body into v. Unknown fields and a body
+// over maxRequestBody are invalid options, rejected before the request can
+// reach admission.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			return fmt.Errorf("%w: request body exceeds %d bytes", adjstream.ErrInvalidOptions, tooBig.Limit)
+		}
+		return fmt.Errorf("%w: %w", adjstream.ErrInvalidOptions, err)
+	}
+	return nil
+}
+
 // handleRun is the shared estimate/distinguish path: decode, validate
 // (before admission, so malformed or misaddressed requests never consume
 // a worker slot), then cache lookup / coalesced or fresh run, error
@@ -494,10 +514,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, kind string) 
 		return
 	}
 	var req EstimateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		status = s.writeError(w, fmt.Errorf("%w: %w", adjstream.ErrInvalidOptions, err))
+	if err := decodeRequest(w, r, &req); err != nil {
+		status = s.writeError(w, err)
 		return
 	}
 	if err := req.validate(kind); err != nil {
@@ -541,21 +559,23 @@ func (s *Server) runOne(ctx context.Context, kind string, req EstimateRequest, d
 	ctx, cancel := context.WithTimeout(ctx, s.timeoutFor(req))
 	defer cancel()
 	if s.cache == nil {
-		resp, err := s.dispatch(ctx, kind, req, ds)
+		resp, err := s.dispatch(ctx, kind, req, ds, s.admitAndRun)
 		return resp, CacheBypass, err
 	}
 	return s.cache.Do(ctx, req.key(kind, ds), s.cfg.MaxTimeout,
 		func(runCtx context.Context) (EstimateResponse, error) {
-			return s.dispatch(runCtx, kind, req, ds)
+			return s.dispatch(runCtx, kind, req, ds, s.admitAndRun)
 		})
 }
 
 // dispatch routes one fresh run: through the configured remote runner when
-// cluster mode is on (shard fan-out is network-bound, so it bypasses the
-// local worker pool — the replicas run their own admission), degrading to
-// the local pool+library path when the remote reports itself unavailable,
-// unless that fallback is disabled.
-func (s *Server) dispatch(ctx context.Context, kind string, req EstimateRequest, ds *Dataset) (EstimateResponse, error) {
+// cluster mode is on, degrading to local when the remote reports itself
+// unavailable, unless that fallback is disabled. local runs it on this
+// node — admitAndRun for a request of its own, run for a batch item whose
+// batch already holds a worker slot. Shard fan-out is network-bound, so the
+// remote path bypasses the local pool; the replicas run their own
+// admission.
+func (s *Server) dispatch(ctx context.Context, kind string, req EstimateRequest, ds *Dataset, local runFunc) (EstimateResponse, error) {
 	// Arbitrary-model runs always execute locally: the cluster scheduler
 	// shards copies over the adjacency-list snapshot transport, which
 	// arbitrary-order estimators do not speak.
@@ -565,8 +585,11 @@ func (s *Server) dispatch(ctx context.Context, kind string, req EstimateRequest,
 			return resp, err
 		}
 	}
-	return s.admitAndRun(ctx, kind, req, ds)
+	return local(ctx, kind, req, ds)
 }
+
+// runFunc runs one validated request spec on this node.
+type runFunc func(ctx context.Context, kind string, req EstimateRequest, ds *Dataset) (EstimateResponse, error)
 
 // admitAndRun acquires a worker slot under ctx and runs the estimation.
 func (s *Server) admitAndRun(ctx context.Context, kind string, req EstimateRequest, ds *Dataset) (EstimateResponse, error) {
@@ -648,10 +671,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		status = s.writeError(w, fmt.Errorf("%w: %w", adjstream.ErrInvalidOptions, err))
+	if err := decodeRequest(w, r, &batch); err != nil {
+		status = s.writeError(w, err)
 		return
 	}
 	if len(batch.Requests) == 0 {
@@ -831,7 +852,7 @@ func (s *Server) batchRunFamily(ctx context.Context, reqs []EstimateRequest, idx
 func (s *Server) batchRun(ctx context.Context, req EstimateRequest, ds *Dataset) BatchItem {
 	ictx, cancel := context.WithTimeout(ctx, s.timeoutFor(req))
 	defer cancel()
-	resp, err := s.runOrRemote(ictx, req, ds)
+	resp, err := s.dispatch(ictx, "estimate", req, ds, s.run)
 	if err != nil {
 		return BatchItem{Error: errDetail(err), Status: statusOf(err)}
 	}
@@ -841,20 +862,6 @@ func (s *Server) batchRun(ctx context.Context, req EstimateRequest, ds *Dataset)
 		outcome = CacheMiss
 	}
 	return BatchItem{Result: &resp, Status: http.StatusOK, Cache: string(outcome)}
-}
-
-// runOrRemote executes one estimate under the caller's worker slot,
-// preferring the remote runner in cluster mode (same fallback rules as
-// dispatch, but without a second pool acquisition — the caller already
-// holds a slot).
-func (s *Server) runOrRemote(ctx context.Context, req EstimateRequest, ds *Dataset) (EstimateResponse, error) {
-	if s.cfg.Remote != nil && !req.arbitraryModel() {
-		resp, err := s.cfg.Remote(ctx, "estimate", req, ds)
-		if err == nil || !errors.Is(err, ErrRemoteUnavailable) || s.cfg.NoLocalFallback {
-			return resp, err
-		}
-	}
-	return s.run(ctx, "estimate", req, ds)
 }
 
 // handleHealthz serves GET /healthz: 200 while serving, 503 while

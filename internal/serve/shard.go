@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -116,10 +115,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ShardRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		status = s.writeError(w, fmt.Errorf("%w: %w", adjstream.ErrInvalidOptions, err))
+	if err := decodeRequest(w, r, &req); err != nil {
+		status = s.writeError(w, err)
 		return
 	}
 	if err := req.validate("estimate"); err != nil {

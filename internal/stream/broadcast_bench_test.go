@@ -27,16 +27,14 @@ func benchStream(b *testing.B) *Stream {
 // benchEstimator is the benchmark workload: an order-sensitive rolling hash
 // with a per-item cost small enough that driver overhead dominates — what
 // these benchmarks are meant to measure (sumEstimator's tracer would spend
-// the budget on fmt.Sprintf instead). EdgeBatch keeps the accumulator in a
-// local so the inner loop runs register-to-register.
+// the budget on fmt.Sprintf instead).
 type benchEstimator struct {
 	passes int
 	acc    uint64
-	cur    ListCursor
 }
 
 func (e *benchEstimator) Passes() int         { return e.passes }
-func (e *benchEstimator) StartPass(p int)     { e.cur = ListCursor{} }
+func (e *benchEstimator) StartPass(p int)     {}
 func (e *benchEstimator) StartList(v graph.V) {}
 func (e *benchEstimator) EndList(v graph.V)   {}
 func (e *benchEstimator) EndPass(p int)       {}
@@ -46,41 +44,10 @@ func (e *benchEstimator) Edge(o, n graph.V) {
 	e.acc = e.acc*31 + uint64(o)*2 + uint64(n)
 }
 
-func (e *benchEstimator) EdgeBatch(owners, nbrs []uint32, runs []int32) {
-	acc := e.acc
-	i := 0
-	for _, b := range runs {
-		for ; i < int(b); i++ {
-			acc = acc*31 + uint64(owners[i])*2 + uint64(nbrs[i])
-		}
-		if e.cur.Open {
-			e.EndList(e.cur.Owner)
-		}
-		e.cur = ListCursor{Owner: graph.V(owners[b]), Open: true}
-		e.StartList(e.cur.Owner)
-	}
-	for ; i < len(owners); i++ {
-		acc = acc*31 + uint64(owners[i])*2 + uint64(nbrs[i])
-	}
-	e.acc = acc
-}
-
-var _ BatchAlgorithm = (*benchEstimator)(nil)
-
 func benchCopies(k int) []Estimator {
 	ests := make([]Estimator, k)
 	for i := range ests {
 		ests[i] = &benchEstimator{passes: 2}
-	}
-	return ests
-}
-
-// benchCopiesItem is benchCopies behind the ItemOnly wrapper: the same
-// estimator driven item-at-a-time, the A/B control for the batch path.
-func benchCopiesItem(k int) []Estimator {
-	ests := make([]Estimator, k)
-	for i := range ests {
-		ests[i] = ItemOnly(&benchEstimator{passes: 2})
 	}
 	return ests
 }
@@ -97,6 +64,9 @@ func benchmarkReplay(b *testing.B, k int) {
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 }
 
+// benchmarkBroadcast times the broadcast driver over k copies of the toy
+// estimator, each fed the item callbacks one window at a time.
+// BenchmarkBroadcastK32 is a bench-gate key.
 func benchmarkBroadcast(b *testing.B, k int) {
 	s := benchStream(b)
 	b.ResetTimer()
@@ -111,41 +81,22 @@ func benchmarkBroadcast(b *testing.B, k int) {
 	b.ReportMetric(float64(replayReads)/float64(reads), "read-x")
 }
 
-// benchmarkBroadcastItem is benchmarkBroadcast on the item path (estimators
-// behind ItemOnly): the denominator of the batch-speedup claim tracked by
-// the bench gate.
-func benchmarkBroadcastItem(b *testing.B, k int) {
-	s := benchStream(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunBroadcastConfig(s, benchCopiesItem(k), BroadcastConfig{})
-	}
-}
+func BenchmarkReplayK8(b *testing.B)      { benchmarkReplay(b, 8) }
+func BenchmarkReplayK32(b *testing.B)     { benchmarkReplay(b, 32) }
+func BenchmarkReplayK128(b *testing.B)    { benchmarkReplay(b, 128) }
+func BenchmarkBroadcastK8(b *testing.B)   { benchmarkBroadcast(b, 8) }
+func BenchmarkBroadcastK32(b *testing.B)  { benchmarkBroadcast(b, 32) }
+func BenchmarkBroadcastK128(b *testing.B) { benchmarkBroadcast(b, 128) }
 
-func BenchmarkReplayK8(b *testing.B)             { benchmarkReplay(b, 8) }
-func BenchmarkReplayK32(b *testing.B)            { benchmarkReplay(b, 32) }
-func BenchmarkReplayK128(b *testing.B)           { benchmarkReplay(b, 128) }
-func BenchmarkBroadcastK8(b *testing.B)          { benchmarkBroadcast(b, 8) }
-func BenchmarkBroadcastK32(b *testing.B)         { benchmarkBroadcast(b, 32) }
-func BenchmarkBroadcastK128(b *testing.B)        { benchmarkBroadcast(b, 128) }
-func BenchmarkBroadcastItemPathK32(b *testing.B) { benchmarkBroadcastItem(b, 32) }
-
-// BenchmarkRunBatchPath / BenchmarkRunItemPath A/B the sequential driver on
-// one estimator: the batch path gets whole chunks (direct method calls in
-// EdgeBatch), the item path one interface call per item.
+// BenchmarkRunBatchPath times the sequential driver on one estimator: whole
+// chunks delivered as item callbacks, one interface call per item. The name
+// is kept from when the sequential driver had a columnar batch protocol, so
+// the benchmark history lines up.
 func BenchmarkRunBatchPath(b *testing.B) {
 	s := benchStream(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(s, &benchEstimator{passes: 2})
-	}
-}
-
-func BenchmarkRunItemPath(b *testing.B) {
-	s := benchStream(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(s, ItemOnly(&benchEstimator{passes: 2}))
 	}
 }
 

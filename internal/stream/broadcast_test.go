@@ -29,42 +29,14 @@ func (r *tracer) Edge(o, n graph.V)   { r.events = append(r.events, fmt.Sprintf(
 type sumEstimator struct {
 	tracer
 	acc float64
-	cur ListCursor
-}
-
-func (e *sumEstimator) StartPass(p int) {
-	e.tracer.StartPass(p)
-	e.cur = ListCursor{}
 }
 
 func (e *sumEstimator) Edge(o, n graph.V) {
 	e.acc = e.acc*31 + float64(o)*2 + float64(n)
 }
 
-// EdgeBatch implements BatchAlgorithm with the same accumulation (and the
-// same trace events through the embedded tracer) as the item path, so the
-// driver benchmarks and equality tests can A/B the two paths on one type.
-func (e *sumEstimator) EdgeBatch(owners, nbrs []uint32, runs []int32) {
-	i := 0
-	for _, b := range runs {
-		for ; i < int(b); i++ {
-			e.acc = e.acc*31 + float64(owners[i])*2 + float64(nbrs[i])
-		}
-		if e.cur.Open {
-			e.EndList(e.cur.Owner)
-		}
-		e.cur = ListCursor{Owner: graph.V(owners[b]), Open: true}
-		e.StartList(e.cur.Owner)
-	}
-	for ; i < len(owners); i++ {
-		e.acc = e.acc*31 + float64(owners[i])*2 + float64(nbrs[i])
-	}
-}
-
 func (e *sumEstimator) Estimate() float64 { return e.acc }
 func (e *sumEstimator) SpaceWords() int64 { return 1 }
-
-var _ BatchAlgorithm = (*sumEstimator)(nil)
 
 func singleEdgeStream(t *testing.T) *Stream {
 	t.Helper()

@@ -3,14 +3,13 @@ package stream
 // Columnar chunked stream representation. A Stream's canonical storage is a
 // sequence of Chunks: flat little-endian-friendly []uint32 owner/neighbor
 // columns plus the in-chunk offsets where a new adjacency list starts. The
-// chunked form is what the drivers iterate (batch-capable algorithms get
-// whole columns at a time, everything else gets the legacy item-at-a-time
-// callbacks decoded from the same columns) and what the mmap-able binary
-// file format (mapped.go) stores verbatim.
+// chunked form is what the drivers iterate — decoding it into the
+// Algorithm item callbacks, the only delivery protocol — and what the
+// mmap-able binary file format (mapped.go) stores verbatim.
 //
 // Vertex ids are graph.V (int64) in the model but uint32 in the columns;
 // streams whose ids do not fit keep only the row ([]Item) form and every
-// driver transparently falls back to the item path for them.
+// driver transparently walks the rows for them instead.
 
 import (
 	"math"
@@ -35,40 +34,6 @@ type Chunk struct {
 	// adjacency list starts. The first chunk of a non-empty stream always
 	// has Runs[0] == 0.
 	Runs []int32
-}
-
-// BatchAlgorithm is the driver fast path: an Algorithm that can consume a
-// columnar batch in one call instead of one Edge callback per item.
-//
-// The contract mirrors the item protocol exactly. The driver calls
-// StartPass, then EdgeBatch once per batch in stream order; inside
-// EdgeBatch the algorithm must issue its own StartList/EndList/Edge
-// transitions — StartList at every run offset (closing the previously open
-// list first, if any), Edge for every column position. Because a batch can
-// end mid-list, the algorithm must carry the open-list state across
-// EdgeBatch calls (see ListCursor) and reset it in StartPass. After the
-// final batch of a pass the DRIVER closes the still-open list by calling
-// EndList with the last owner, then calls EndPass — so an implementation's
-// EndList/EndPass need no batch-specific handling.
-//
-// A correct EdgeBatch produces, for any batch split of a stream, the exact
-// callback-visible state sequence of the item path; the root
-// batch-equality tests enforce this per estimator per driver.
-type BatchAlgorithm interface {
-	Algorithm
-	// EdgeBatch consumes one columnar batch: owners[i]/nbrs[i] is item i,
-	// runs the in-batch offsets where a new adjacency list starts.
-	EdgeBatch(owners, nbrs []uint32, runs []int32)
-}
-
-// ListCursor is the open-list state a BatchAlgorithm carries across
-// EdgeBatch calls: the owner of the currently open adjacency list, if any.
-// Reset it (to the zero value) in StartPass.
-type ListCursor struct {
-	// Owner is the owner of the open list; meaningful only when Open.
-	Owner graph.V
-	// Open reports whether an adjacency list is currently open.
-	Open bool
 }
 
 // chunkable reports whether every vertex id in items fits the uint32
@@ -130,12 +95,3 @@ func decodeChunks(chunks []Chunk, n int) []Item {
 	}
 	return items
 }
-
-// itemOnly hides an estimator's EdgeBatch (if any) from the drivers by
-// exposing exactly the Estimator method set.
-type itemOnly struct{ Estimator }
-
-// ItemOnly wraps e so drivers cannot see an EdgeBatch implementation and
-// always use the item-at-a-time path — the A/B control for the
-// batch-equality tests and benchmarks.
-func ItemOnly(e Estimator) Estimator { return itemOnly{e} }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -46,8 +47,8 @@ func TestBuildChunksUnchunkable(t *testing.T) {
 }
 
 // TestUnchunkableStreamFallsBack drives a stream whose ids exceed uint32
-// through both drivers: it has no columnar form, so the batch-capable
-// estimator must still see the exact item-path callback sequence.
+// through both drivers: it has no columnar form, so both walk the rows and
+// must still deliver the canonical callback sequence.
 func TestUnchunkableStreamFallsBack(t *testing.T) {
 	big := graphVBig()
 	s, err := FromItems([]Item{{Owner: 1, Nbr: big}, {Owner: big, Nbr: 1}})
@@ -57,20 +58,23 @@ func TestUnchunkableStreamFallsBack(t *testing.T) {
 	if s.Chunks() != nil {
 		t.Fatal("stream with an id beyond uint32 has a columnar form")
 	}
-	batch := &sumEstimator{tracer: tracer{passes: 2}}
-	item := &sumEstimator{tracer: tracer{passes: 2}}
-	Run(s, batch)
-	Run(s, ItemOnly(item))
-	if batch.Estimate() != item.Estimate() {
-		t.Errorf("fallback estimate %v != item estimate %v", batch.Estimate(), item.Estimate())
+	want := []string{"P0", "L1", fmt.Sprintf("e1-%d", big), "l1",
+		fmt.Sprintf("L%d", big), fmt.Sprintf("e%d-1", big), fmt.Sprintf("l%d", big), "p0"}
+	seq := &tracer{passes: 1}
+	Run(s, struct {
+		*tracer
+		dummyEstimate
+	}{seq, dummyEstimate{}})
+	if !reflect.DeepEqual(seq.events, want) {
+		t.Errorf("sequential fallback trace %v, want %v", seq.events, want)
 	}
-	if !reflect.DeepEqual(batch.events, item.events) {
-		t.Errorf("fallback trace diverges from item trace")
-	}
-	par := []Estimator{&sumEstimator{tracer: tracer{passes: 2}}}
-	RunBroadcast(s, par)
-	if par[0].Estimate() != item.Estimate() {
-		t.Errorf("broadcast fallback estimate %v != item estimate %v", par[0].Estimate(), item.Estimate())
+	par := &tracer{passes: 1}
+	RunBroadcast(s, []Estimator{struct {
+		*tracer
+		dummyEstimate
+	}{par, dummyEstimate{}}})
+	if !reflect.DeepEqual(par.events, want) {
+		t.Errorf("broadcast fallback trace %v, want %v", par.events, want)
 	}
 }
 

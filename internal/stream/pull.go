@@ -37,7 +37,7 @@ import (
 const DefaultPullWindow = 32
 
 // wholeChunks is the sequential driver's window: every copy gets each
-// chunk in one EdgeBatch call, exactly the batches the stream stores.
+// chunk in one window, exactly the chunks the stream stores.
 const wholeChunks = math.MaxInt32
 
 // sameStream is the pass schedule of a run whose every pass reads s.
@@ -190,31 +190,18 @@ func shardBounds(n, k, w int) (lo, hi int) {
 
 // shardPass replays pass p to every algorithm in shard by iterating the
 // chunks directly in windows of window items, copy by copy within each
-// window. Batch-capable algorithms get EdgeBatch per window with run
-// offsets rebased to the window (aliased when the window starts a chunk,
-// copied into a reused scratch otherwise); the rest get the item protocol
-// decoded from the columns (see feedItems), with the open list carried
-// across windows and chunks. The final open list is closed before EndPass.
-// Cancellation is polled per chunk.
+// window. Each copy gets the window as item callbacks decoded from the
+// columns (see feedItems), with the open list carried across windows and
+// chunks; the final open list is closed before EndPass. Cancellation is
+// polled per chunk.
 func shardPass(ctx context.Context, s *Stream, shard []Algorithm, p, window int) (r shardResult) {
 	if s.chunks == nil {
 		return shardPassItems(ctx, s, shard, p, window)
 	}
-	// Stack room for a one-copy shard, so a sequential pass allocates
-	// nothing.
-	var bbuf [1]BatchAlgorithm
-	var ibuf [1]Algorithm
-	batchers, itemized := bbuf[:0], ibuf[:0]
 	for _, a := range shard {
-		if ba, ok := a.(BatchAlgorithm); ok {
-			batchers = append(batchers, ba)
-		} else {
-			itemized = append(itemized, a)
-		}
 		a.StartPass(p)
 	}
 	done := ctx.Done()
-	var scratch []int32
 	var cur graph.V // owner of the open list, the last item's owner
 	open := false
 	for ci := range s.chunks {
@@ -228,29 +215,12 @@ func shardPass(ctx context.Context, s *Stream, shard []Algorithm, p, window int)
 		for i := 0; i < len(c.Owners); i += window {
 			j := min(i+window, len(c.Owners))
 			r0 := ri
-			if j == len(c.Owners) {
-				ri = len(c.Runs)
-			} else {
-				for ri < len(c.Runs) && int(c.Runs[ri]) < j {
-					ri++
-				}
+			for ri < len(c.Runs) && int(c.Runs[ri]) < j {
+				ri++
 			}
-			var runs []int32
-			if i == 0 {
-				runs = c.Runs[r0:ri]
-			} else if ri > r0 {
-				scratch = scratch[:0]
-				for _, off := range c.Runs[r0:ri] {
-					scratch = append(scratch, off-int32(i))
-				}
-				runs = scratch
-			}
-			owners, nbrs := c.Owners[i:j], c.Nbrs[i:j]
-			for _, ba := range batchers {
-				ba.EdgeBatch(owners, nbrs, runs)
-			}
-			for _, a := range itemized {
-				feedItems(a, owners, nbrs, runs, open, cur)
+			owners, nbrs, runs := c.Owners[i:j], c.Nbrs[i:j], c.Runs[r0:ri]
+			for _, a := range shard {
+				feedItems(a, owners, nbrs, runs, i, open, cur)
 			}
 			cur, open = graph.V(owners[len(owners)-1]), true
 			r.windows++
@@ -266,14 +236,16 @@ func shardPass(ctx context.Context, s *Stream, shard []Algorithm, p, window int)
 	return r
 }
 
-// feedItems delivers one window to a as item callbacks: at each run offset
-// it closes the open list (cur, when open) and starts the next one, and it
-// calls Edge once per item.
-func feedItems(a Algorithm, owners, nbrs []uint32, runs []int32, open bool, cur graph.V) {
+// feedItems delivers one window to a as item callbacks. runs holds the
+// chunk offsets of the lists starting inside the window, which begins at
+// chunk offset base: at each one it closes the open list (cur, when open)
+// and starts the next, and it calls Edge once per item.
+func feedItems(a Algorithm, owners, nbrs []uint32, runs []int32, base int, open bool, cur graph.V) {
 	nbrs = nbrs[:len(owners)] // one bounds check per window, not per item
 	i := 0
-	for _, off := range runs {
-		for ; i < int(off); i++ {
+	for _, r := range runs {
+		off := int(r) - base
+		for ; i < off; i++ {
 			a.Edge(graph.V(owners[i]), graph.V(nbrs[i]))
 		}
 		if open {

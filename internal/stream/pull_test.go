@@ -2,7 +2,7 @@ package stream
 
 // Tests for the broadcast driver: trace and estimate equivalence against
 // sequential Run across window/worker/copy sweeps, the Workers clamp, the item-path fallback
-// counter, and the ListCursor protocol across fabricated chunk geometries
+// counter, and the open-list carry across fabricated chunk geometries
 // (empty chunks, single-item lists on chunk edges, final open lists).
 
 import (
@@ -52,7 +52,7 @@ func TestPullTraceMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPullMatchesSequentialEstimates runs batch-capable copies through the
+// TestPullMatchesSequentialEstimates runs accumulating copies through the
 // broadcast driver at several windows and worker counts and through
 // sequential Run; the order-sensitive accumulators must agree bit-for-bit.
 func TestPullMatchesSequentialEstimates(t *testing.T) {
@@ -184,9 +184,9 @@ func chunkedStream(t *testing.T, s *Stream, chunkItems int, emptyEvery int) *Str
 // TestCursorAcrossChunkBoundaries drives every driver over fabricated chunk
 // geometries — chunk size one (each list straddles chunk edges; single-item
 // lists occupy exactly one chunk), size two, size three with interleaved
-// empty chunks — and checks both the batch path (EdgeBatch + ListCursor)
-// and the item path against the canonical sequential trace, including the
-// close of the final open list.
+// empty chunks — and checks the delivered trace and an order-sensitive
+// accumulator against the canonical sequential run, including the close of
+// the final open list.
 func TestCursorAcrossChunkBoundaries(t *testing.T) {
 	// A path plus a pendant: list 2 spans chunks at size 1, lists 1 and 4
 	// are single-item lists landing exactly on chunk edges.
@@ -201,12 +201,12 @@ func TestCursorAcrossChunkBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := &tracer{passes: 2}
-	Run(base, ItemOnly(struct {
+	Run(base, struct {
 		*tracer
 		dummyEstimate
-	}{want, dummyEstimate{}}))
+	}{want, dummyEstimate{}})
 	wantSum := &sumEstimator{tracer: tracer{passes: 2}}
-	Run(base, ItemOnly(wantSum))
+	Run(base, wantSum)
 
 	for _, geo := range []struct {
 		name       string
@@ -229,22 +229,18 @@ func TestCursorAcrossChunkBoundaries(t *testing.T) {
 				{"pull-window1", func(e Estimator) { RunBroadcastConfig(s, []Estimator{e}, BroadcastConfig{Window: 1}) }},
 			}
 			for _, d := range drivers {
-				// Item path: a bare tracer (no EdgeBatch) sees the full
-				// decoded protocol.
 				tr := &tracer{passes: 2}
 				d.run(struct {
 					*tracer
 					dummyEstimate
 				}{tr, dummyEstimate{}})
 				if !reflect.DeepEqual(tr.events, want.events) {
-					t.Errorf("%s item path: trace diverges\n got %v\nwant %v", d.name, tr.events, want.events)
+					t.Errorf("%s: trace diverges\n got %v\nwant %v", d.name, tr.events, want.events)
 				}
-				// Batch path: the EdgeBatch + ListCursor protocol must
-				// reconstruct the same events and accumulator.
 				se := &sumEstimator{tracer: tracer{passes: 2}}
 				d.run(se)
 				if se.Estimate() != wantSum.Estimate() {
-					t.Errorf("%s batch path: estimate %v != %v", d.name, se.Estimate(), wantSum.Estimate())
+					t.Errorf("%s: estimate %v != %v", d.name, se.Estimate(), wantSum.Estimate())
 				}
 			}
 		})
