@@ -1,20 +1,220 @@
 package core
 
-import "adjstream/internal/graph"
+import (
+	"adjstream/internal/flat"
+	"adjstream/internal/graph"
+)
+
+// Kernel layout. The per-item work of the adjacency-list estimators is
+// "flag every tracked record that has the current neighbour as an
+// endpoint; at the end of the list, act on the records both of whose
+// endpoints appeared". Records (sampled edges, H watchers, sampled
+// wedges) live in arena slices and are addressed by int32 handles; the
+// flag engine below links each record into the lists of its two endpoints
+// and keeps the per-list flags in a byte array beside the arena, so a
+// flag walk touches the vertex index, the link array and the flag bytes,
+// never the records themselves.
+
+// Record state bits, one byte per record.
+const (
+	flagSide0 uint8 = 1 << iota // endpoint 0 appeared in the current list
+	flagSide1                   // endpoint 1 appeared in the current list
+	deadBit                     // tombstoned: never flagged again
+
+	bothSides = flagSide0 | flagSide1
+)
+
+// vertexIndex maps the vertices that have ever had a record to dense
+// slots. One index can serve several incidence engines (the detector and
+// watch set of one estimator), so an item costs one lookup however many
+// engines it flags. It makes no assumption about the ids themselves.
+type vertexIndex struct {
+	t flat.Table[graph.V]
+	n int32
+}
+
+// presize bounds the capacity reserved at construction for a size hint.
+// SampleSize and PairCap are caps that a run may never fill (experiments
+// set them far above the sample), so reservations stop here and the
+// arenas grow by doubling beyond it.
+func presize(n int) int { return min(n, 1<<13) }
+
+func newVertexIndex(n int) *vertexIndex {
+	x := new(vertexIndex)
+	x.t.Init(presize(n))
+	return x
+}
+
+func vertexHash(v graph.V) uint64 { return flat.Mix(uint64(v)) }
+
+// slot returns v's slot, or -1 if v has none.
+func (x *vertexIndex) slot(v graph.V) int32 {
+	s, _ := x.t.Get(v, vertexHash(v))
+	return s
+}
+
+// slotOrAdd returns v's slot, assigning the next one if v has none.
+func (x *vertexIndex) slotOrAdd(v graph.V) int32 {
+	h := vertexHash(v)
+	s, ok := x.t.Get(v, h)
+	if !ok {
+		s = x.n
+		x.n++
+		x.t.Put(v, h, s)
+	}
+	return s
+}
+
+// incidence is the flag engine shared by detector, watchSet and the
+// 4-cycle wedge set. A link l = h<<1 | side names endpoint side (0 or 1)
+// of record h; each vertex's links form a singly linked list in
+// registration order, headed at the vertex's slot in vx.
+//
+// Tombstoned records are unlinked as a walk passes them. The unlinking is
+// stable: live records keep their relative order, so the order in which
+// records enter dirty — and hence the order endList reports them, which
+// for the detector is the order of Reservoir.Offer calls and so decides
+// which pairs are kept — is the order an uncompacted walk would give.
+type incidence struct {
+	vx         *vertexIndex
+	head, tail []int32 // per vertex slot: first/last link, -1 if none
+	next       []int32 // per link: the following link, -1 at the end
+	state      []uint8 // per record: flag bits and tombstone
+	dirty      []int32 // records flagged in this list, in first-flag order
+	live       int     // records not tombstoned
+}
+
+// init sizes the engine for about n records over the vertex index vx.
+func (in *incidence) init(vx *vertexIndex, n int) {
+	n = presize(n)
+	in.vx = vx
+	in.head = make([]int32, 0, n)
+	in.tail = make([]int32, 0, n)
+	in.next = make([]int32, 0, 2*n)
+	in.state = make([]uint8, 0, n)
+	in.dirty = make([]int32, 0, n)
+}
+
+// add registers a new record with endpoints a (side 0) and b (side 1) and
+// returns its handle, the index of its entry in the caller's arena.
+func (in *incidence) add(a, b graph.V) int32 {
+	h := int32(len(in.state))
+	in.state = append(in.state, 0)
+	in.next = append(in.next, -1, -1)
+	in.link(a, h<<1)
+	in.link(b, h<<1|1)
+	in.live++
+	return h
+}
+
+// link appends l to x's list.
+func (in *incidence) link(x graph.V, l int32) {
+	vs := in.vx.slotOrAdd(x)
+	for int(vs) >= len(in.head) {
+		in.head = append(in.head, -1)
+		in.tail = append(in.tail, -1)
+	}
+	if t := in.tail[vs]; t >= 0 {
+		in.next[t] = l
+	} else {
+		in.head[vs] = l
+	}
+	in.tail[vs] = l
+}
+
+// kill tombstones record h. Its links are dropped by the next walk of
+// each endpoint's list.
+func (in *incidence) kill(h int32) {
+	if in.state[h]&deadBit == 0 {
+		in.state[h] |= deadBit
+		in.live--
+	}
+}
+
+func (in *incidence) dead(h int32) bool { return in.state[h]&deadBit != 0 }
+
+// walk calls fn for every live link of x's list, in order, unlinking the
+// tombstoned ones it passes.
+func (in *incidence) walk(x graph.V, fn func(h int32, side int32)) {
+	vs := in.vx.slot(x)
+	if vs < 0 || int(vs) >= len(in.head) {
+		return
+	}
+	prev := int32(-1)
+	for l := in.head[vs]; l >= 0; {
+		nx := in.next[l]
+		if in.state[l>>1]&deadBit != 0 {
+			in.unlink(vs, prev, l, nx)
+		} else {
+			fn(l>>1, l&1)
+			prev = l
+		}
+		l = nx
+	}
+}
+
+// flag marks the appearance of the vertex with slot vs (-1 for none) in
+// the current list: the hot path, walk with the body inlined.
+func (in *incidence) flag(vs int32) {
+	if vs < 0 || int(vs) >= len(in.head) {
+		return
+	}
+	prev := int32(-1)
+	for l := in.head[vs]; l >= 0; {
+		nx := in.next[l]
+		h := l >> 1
+		st := in.state[h]
+		if st&deadBit != 0 {
+			in.unlink(vs, prev, l, nx)
+			l = nx
+			continue
+		}
+		if st&bothSides == 0 {
+			in.dirty = append(in.dirty, h)
+		}
+		in.state[h] = st | 1<<(l&1)
+		prev, l = l, nx
+	}
+}
+
+// unlink removes link l (whose successor is nx and predecessor prev, -1
+// at the head) from the list of vertex slot vs.
+func (in *incidence) unlink(vs, prev, l, nx int32) {
+	if prev < 0 {
+		in.head[vs] = nx
+	} else {
+		in.next[prev] = nx
+	}
+	if in.tail[vs] == l {
+		in.tail[vs] = prev
+	}
+}
+
+// endList clears the flags of the list that just ended and returns the
+// live records both of whose endpoints appeared in it, in first-flag
+// order. The slice is valid until the next flag.
+func (in *incidence) endList() []int32 {
+	closed := in.dirty[:0]
+	for _, h := range in.dirty {
+		if in.state[h] == bothSides {
+			closed = append(closed, h)
+		}
+		in.state[h] &^= bothSides
+	}
+	in.dirty = in.dirty[:0]
+	return closed
+}
 
 // edgeRec is the tracked state of one sampled edge: its canonical endpoints,
 // the list positions of its endpoints (filled during pass one; -1 while
-// unknown), the position at which it entered the sample, and the two
-// presence flags used for triangle detection within the current adjacency
-// list ("flag any endpoint of a sampled edge if it appears").
+// unknown), the position at which it entered the sample, and the
+// discoveries credited to it (naive estimator). Its presence flags and
+// tombstone live in the detector's incidence engine.
 type edgeRec struct {
-	u, v       graph.V // canonical u < v
+	u, v       graph.V // canonical u < v; incidence sides 0 and 1
 	posU, posV int     // list positions of u's and v's lists; -1 unknown
 	posFirst   int     // position at which the edge entered the sample
-	flagU      bool
-	flagV      bool
-	hits       int64 // discoveries credited to this edge (naive estimator)
-	dead       bool  // evicted from a bottom-k sample
+	hits       int64   // discoveries credited to this edge (naive estimator)
 }
 
 // pos returns the recorded list position of endpoint x (which must be u or
@@ -31,173 +231,142 @@ func (r *edgeRec) pos(x graph.V) int {
 // endpoints appeared — i.e. the triangles (edge, apex=list owner). It uses
 // O(1) state per tracked edge, never O(degree) transient state.
 type detector struct {
-	recs     map[graph.Edge]*edgeRec
-	byVertex map[graph.V][]*edgeRec
-	dirty    []*edgeRec
+	inc    incidence
+	recs   []edgeRec              // arena, indexed by handle
+	byEdge flat.Table[graph.Edge] // live tracked edge → handle
 }
 
-func newDetector() *detector {
-	return &detector{
-		recs:     make(map[graph.Edge]*edgeRec),
-		byVertex: make(map[graph.V][]*edgeRec),
-	}
+// newDetector sizes a detector for about n tracked edges over the vertex
+// index vx.
+func newDetector(vx *vertexIndex, n int) *detector {
+	d := &detector{recs: make([]edgeRec, 0, presize(n))}
+	d.inc.init(vx, n)
+	d.byEdge.Init(presize(n))
+	return d
 }
 
-// get returns the record for {u,v}, or nil.
-func (d *detector) get(u, v graph.V) *edgeRec {
-	return d.recs[graph.Edge{U: u, V: v}.Norm()]
+func edgeHash(e graph.Edge) uint64 { return flat.Mix2(uint64(e.U), uint64(e.V)) }
+
+// tracked reports whether {u,v} is a live tracked edge. An evicted edge
+// never re-enters a bottom-k sample (its hash exceeds the threshold from
+// then on), so dropping it from the index on eviction loses nothing.
+func (d *detector) tracked(u, v graph.V) bool {
+	e := graph.Edge{U: u, V: v}.Norm()
+	_, ok := d.byEdge.Get(e, edgeHash(e))
+	return ok
 }
 
 // track registers the edge {owner,nbr} first seen in owner's list at
 // position pos, indexing both endpoints for flag lookups.
-func (d *detector) track(owner, nbr graph.V, pos int) *edgeRec {
+func (d *detector) track(owner, nbr graph.V, pos int) {
 	e := graph.Edge{U: owner, V: nbr}.Norm()
-	r := &edgeRec{u: e.U, v: e.V, posU: -1, posV: -1, posFirst: pos}
+	r := edgeRec{u: e.U, v: e.V, posU: -1, posV: -1, posFirst: pos}
 	if owner == r.u {
 		r.posU = pos
 	} else {
 		r.posV = pos
 	}
-	d.recs[e] = r
-	d.byVertex[r.u] = append(d.byVertex[r.u], r)
-	d.byVertex[r.v] = append(d.byVertex[r.v], r)
-	return r
+	h := d.inc.add(r.u, r.v)
+	d.recs = append(d.recs, r)
+	d.byEdge.Put(e, edgeHash(e), h)
 }
 
 // notePos records that owner's adjacency list is at position pos, filling
 // the endpoint positions of tracked edges incident to owner.
 func (d *detector) notePos(owner graph.V, pos int) {
-	for _, r := range d.byVertex[owner] {
-		if r.dead {
-			continue
-		}
-		if owner == r.u && r.posU < 0 {
+	d.inc.walk(owner, func(h, side int32) {
+		r := &d.recs[h]
+		if side == 0 && r.posU < 0 {
 			r.posU = pos
-		} else if owner == r.v && r.posV < 0 {
+		} else if side == 1 && r.posV < 0 {
 			r.posV = pos
 		}
-	}
+	})
 }
 
-// flag marks the appearance of nbr inside the current adjacency list.
-func (d *detector) flag(nbr graph.V) {
-	for _, r := range d.byVertex[nbr] {
-		if r.dead {
-			continue
-		}
-		if !r.flagU && !r.flagV {
-			d.dirty = append(d.dirty, r)
-		}
-		if nbr == r.u {
-			r.flagU = true
-		} else {
-			r.flagV = true
-		}
+// flag marks the appearance, inside the current adjacency list, of the
+// vertex with slot vs.
+func (d *detector) flag(vs int32) { d.inc.flag(vs) }
+
+// endList returns the handles of the live tracked edges both of whose
+// endpoints appeared in the list that just ended (the list owner is a
+// triangle apex for each), in discovery order, and clears all flags.
+func (d *detector) endList() []int32 { return d.inc.endList() }
+
+// markDead tombstones the record of e (bottom-k eviction) and returns its
+// handle, or -1 if e is not tracked.
+func (d *detector) markDead(e graph.Edge) int32 {
+	hash := edgeHash(e)
+	h, ok := d.byEdge.Get(e, hash)
+	if !ok {
+		return -1
 	}
+	d.byEdge.Delete(e, hash)
+	d.inc.kill(h)
+	return h
 }
 
-// finishList invokes emit for every tracked edge both of whose endpoints
-// appeared in the list that just ended (the list owner is a triangle apex
-// for that edge), then clears all flags.
-func (d *detector) finishList(emit func(r *edgeRec)) {
-	for _, r := range d.dirty {
-		if r.flagU && r.flagV && !r.dead {
-			emit(r)
-		}
-		r.flagU, r.flagV = false, false
-	}
-	d.dirty = d.dirty[:0]
-}
-
-// markDead tombstones the record of e (bottom-k eviction). The record stays
-// indexed but is skipped everywhere.
-func (d *detector) markDead(e graph.Edge) *edgeRec {
-	r := d.recs[e]
-	if r != nil {
-		r.dead = true
-	}
-	return r
-}
+func (d *detector) dead(h int32) bool { return d.inc.dead(h) }
 
 // len returns the number of live tracked edges.
-func (d *detector) len() int {
-	n := 0
-	for _, r := range d.recs {
-		if !r.dead {
-			n++
-		}
-	}
-	return n
-}
+func (d *detector) len() int { return d.inc.live }
 
 // watcher counts, during a designated pass, the adjacency lists whose owner
-// is adjacent to both x and y and arrives at a position strictly greater
-// than thresh — exactly the quantity H_{e',τ} when thresh is the position of
-// τ's apex with respect to e' = {x,y} (or the exact triangle load T(e') when
-// thresh is 0).
+// is adjacent to both of its endpoints x and y (incidence sides 0 and 1)
+// and arrives at a position strictly greater than thresh — exactly the
+// quantity H_{e',τ} when thresh is the position of τ's apex with respect
+// to e' = {x,y} (or the exact triangle load T(e') when thresh is 0).
 type watcher struct {
-	x, y   graph.V
 	thresh int
 	// Deferred threshold: when the needed endpoint position is not yet
 	// known at registration time, threshRec/threshAt identify it and the
-	// threshold is resolved at the end of pass one.
-	threshRec *edgeRec
+	// threshold is resolved at the end of pass one. threshRec is a
+	// detector handle, -1 when the threshold is already known.
+	threshRec int32
 	threshAt  graph.V
-	flagX     bool
-	flagY     bool
 	count     int64
-	dead      bool
-}
-
-// resolve fills a deferred threshold from the recorded endpoint position.
-func (w *watcher) resolve() {
-	if w.threshRec != nil {
-		w.thresh = w.threshRec.pos(w.threshAt)
-		w.threshRec = nil
-	}
 }
 
 // watchSet is the flag engine for watchers, parallel to detector.
 type watchSet struct {
-	byVertex map[graph.V][]*watcher
-	dirty    []*watcher
+	inc incidence
+	ws  []watcher // arena, indexed by handle
 }
 
-func newWatchSet() *watchSet {
-	return &watchSet{byVertex: make(map[graph.V][]*watcher)}
+// newWatchSet sizes a watch set for about n watchers over the vertex
+// index vx.
+func newWatchSet(vx *vertexIndex, n int) *watchSet {
+	s := &watchSet{ws: make([]watcher, 0, presize(n))}
+	s.inc.init(vx, n)
+	return s
 }
 
-// add registers w for flag lookups on both endpoints.
-func (s *watchSet) add(w *watcher) {
-	s.byVertex[w.x] = append(s.byVertex[w.x], w)
-	s.byVertex[w.y] = append(s.byVertex[w.y], w)
+// add registers w on endpoints x and y and returns its handle.
+func (s *watchSet) add(x, y graph.V, w watcher) int32 {
+	h := s.inc.add(x, y)
+	s.ws = append(s.ws, w)
+	return h
 }
 
-// flag marks the appearance of nbr in the current list.
-func (s *watchSet) flag(nbr graph.V) {
-	for _, w := range s.byVertex[nbr] {
-		if w.dead {
-			continue
-		}
-		if !w.flagX && !w.flagY {
-			s.dirty = append(s.dirty, w)
-		}
-		if nbr == w.x {
-			w.flagX = true
-		} else {
-			w.flagY = true
-		}
+// resolve fills watcher h's deferred threshold from the recorded endpoint
+// position in d.
+func (s *watchSet) resolve(h int32, d *detector) {
+	if w := &s.ws[h]; w.threshRec >= 0 {
+		w.thresh = d.recs[w.threshRec].pos(w.threshAt)
+		w.threshRec = -1
 	}
 }
+
+func (s *watchSet) kill(h int32)        { s.inc.kill(h) }
+func (s *watchSet) count(h int32) int64 { return s.ws[h].count }
+func (s *watchSet) flag(vs int32)       { s.inc.flag(vs) }
 
 // finishList increments every fully-flagged live watcher whose threshold is
 // below the position of the list that just ended, then clears flags.
 func (s *watchSet) finishList(pos int) {
-	for _, w := range s.dirty {
-		if w.flagX && w.flagY && !w.dead && pos > w.thresh {
+	for _, h := range s.inc.endList() {
+		if w := &s.ws[h]; pos > w.thresh {
 			w.count++
 		}
-		w.flagX, w.flagY = false, false
 	}
-	s.dirty = s.dirty[:0]
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"adjstream/internal/graph"
 	"adjstream/internal/sampling"
@@ -39,12 +40,14 @@ func (c FourCycleConfig) validate() error {
 	return nil
 }
 
-// sampledWedge is one wedge a–center–b formed by two sampled edges, with the
-// flag state for counting the 4-cycles that contain it in pass two.
+// sampledWedge is one wedge a–center–b formed by two sampled edges. Its
+// endpoints a and b are sides 0 and 1 of its record in the wedge
+// incidence engine, which holds the flags for counting, in pass two, the
+// 4-cycles that contain it.
 type sampledWedge struct {
-	a, center, b graph.V
-	flagA, flagB bool
-	count        int64 // T_w: 4-cycles through this wedge
+	center graph.V
+	count  int64 // T_w: 4-cycles through this wedge
+	slot   int32 // index in TwoPassFourCycle.live
 }
 
 // TwoPassFourCycle is the paper's Theorem 4.6 algorithm: pass one samples a
@@ -62,10 +65,10 @@ type TwoPassFourCycle struct {
 	cfg     FourCycleConfig
 	sampler sampling.EdgeSampler
 
-	wedges      []*sampledWedge
-	byVertex    map[graph.V][]*sampledWedge
-	dirty       []*sampledWedge
-	totalWedges int64 // wedges formed (before any cap)
+	wedges      []sampledWedge // arena, indexed by handle; dropped wedges stay
+	inc         incidence      // wedge endpoints → flag lists
+	live        []int32        // handles of the kept wedges (Q)
+	totalWedges int64          // wedges formed (before any cap)
 
 	pass  int
 	items int64
@@ -86,7 +89,7 @@ func NewTwoPassFourCycle(cfg FourCycleConfig) (*TwoPassFourCycle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := &TwoPassFourCycle{cfg: cfg, byVertex: make(map[graph.V][]*sampledWedge)}
+	f := &TwoPassFourCycle{cfg: cfg}
 	if cfg.SampleSize > 0 {
 		f.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, nil)
 	} else {
@@ -118,17 +121,7 @@ func (f *TwoPassFourCycle) Edge(owner, nbr graph.V) {
 		f.items++
 		f.sampler.Offer(owner, nbr)
 	case 1:
-		for _, w := range f.byVertex[nbr] {
-			if !w.flagA && !w.flagB {
-				f.dirty = append(f.dirty, w)
-			}
-			if nbr == w.a {
-				w.flagA = true
-			}
-			if nbr == w.b {
-				w.flagB = true
-			}
-		}
+		f.inc.flag(f.inc.vx.slot(nbr))
 	}
 }
 
@@ -137,15 +130,13 @@ func (f *TwoPassFourCycle) EndList(owner graph.V) {
 	if f.pass != 1 {
 		return
 	}
-	for _, w := range f.dirty {
+	for _, h := range f.inc.endList() {
 		// owner adjacent to both wedge endpoints closes a 4-cycle, unless
 		// owner is the wedge's own center.
-		if w.flagA && w.flagB && owner != w.center {
+		if w := &f.wedges[h]; owner != w.center {
 			w.count++
 		}
-		w.flagA, w.flagB = false, false
 	}
-	f.dirty = f.dirty[:0]
 }
 
 // EndPass implements stream.Algorithm.
@@ -158,68 +149,94 @@ func (f *TwoPassFourCycle) EndPass(p int) {
 	f.meter.Charge(int64(f.sampler.Len()) * space.WordsPerEdge)
 	f.buildWedges()
 	f.tele.occupancy.Set(int64(f.sampler.Len()))
-	f.tele.pairsKept.Set(int64(len(f.wedges)))
+	f.tele.pairsKept.Set(int64(len(f.live)))
 	f.tele.pairsFound.Add(f.totalWedges)
 	f.tele.liveWords.Set(f.meter.Live())
 }
 
-// buildWedges forms Q, the wedges inside the final edge sample.
+// buildWedges forms Q, the wedges inside the final edge sample, visiting
+// centers in increasing order and each center's neighbour pairs in
+// increasing order, so the wedge order (and any WedgeCap reservoir's
+// choices) is reproducible.
 func (f *TwoPassFourCycle) buildWedges() {
-	incident := make(map[graph.V][]graph.V)
-	for _, e := range f.sampledEdges() {
-		incident[e.U] = append(incident[e.U], e.V)
-		incident[e.V] = append(incident[e.V], e.U)
+	// Both orientations of every sampled edge, sorted by (center, nbr):
+	// each center's neighbours form one contiguous sorted run.
+	edges := f.sampledEdges()
+	arcs := make([]graph.Edge, 0, 2*len(edges))
+	for _, e := range edges {
+		arcs = append(arcs, e, graph.Edge{U: e.V, V: e.U})
 	}
-	var res *sampling.Reservoir[*sampledWedge]
-	if f.cfg.WedgeCap > 0 {
-		res = sampling.NewReservoir[*sampledWedge](f.cfg.WedgeCap, f.cfg.Seed^0x77ed_21f3)
+	slices.SortFunc(arcs, func(x, y graph.Edge) int {
+		if c := cmp.Compare(x.U, y.U); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.V, y.V)
+	})
+	var formed int64
+	for i := 0; i < len(arcs); {
+		j := i
+		for j < len(arcs) && arcs[j].U == arcs[i].U {
+			j++
+		}
+		d := int64(j - i)
+		formed += d * (d - 1) / 2
+		i = j
 	}
-	// Deterministic center order for reproducibility.
-	centers := make([]graph.V, 0, len(incident))
-	for c := range incident {
-		centers = append(centers, c)
+	// Sizing: with a cap, Q holds at most WedgeCap wedges, and the arena
+	// also keeps the ones the reservoir later drops.
+	kept, made := formed, formed
+	var res *sampling.Reservoir[int32]
+	if c := int64(f.cfg.WedgeCap); c > 0 {
+		res = sampling.NewReservoir[int32](f.cfg.WedgeCap, f.cfg.Seed^0x77ed_21f3)
+		kept, made = min(formed, c), min(formed, 2*c)
 	}
-	sort.Slice(centers, func(i, j int) bool { return centers[i] < centers[j] })
-	for _, c := range centers {
-		ns := incident[c]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		for i := 0; i < len(ns); i++ {
-			for j := i + 1; j < len(ns); j++ {
+	f.wedges = make([]sampledWedge, 0, made)
+	f.live = make([]int32, 0, kept)
+	f.inc.init(newVertexIndex(2*len(edges)), int(made))
+	for i := 0; i < len(arcs); {
+		c := arcs[i].U
+		j := i
+		for j < len(arcs) && arcs[j].U == c {
+			j++
+		}
+		ns := arcs[i:j]
+		for x := range ns {
+			for y := x + 1; y < len(ns); y++ {
 				f.totalWedges++
-				w := &sampledWedge{a: ns[i], center: c, b: ns[j]}
 				if res == nil {
-					f.keepWedge(w)
+					f.keepWedge(ns[x].V, c, ns[y].V)
 					continue
 				}
-				if victim, evicted, accepted := res.Offer(w); accepted {
+				h := int32(len(f.wedges))
+				if victim, evicted, accepted := res.Offer(h); accepted {
 					if evicted {
 						f.dropWedge(victim)
 					}
-					f.keepWedge(w)
+					f.keepWedge(ns[x].V, c, ns[y].V)
 				}
 			}
 		}
+		i = j
 	}
 }
 
-func (f *TwoPassFourCycle) keepWedge(w *sampledWedge) {
-	f.wedges = append(f.wedges, w)
-	f.byVertex[w.a] = append(f.byVertex[w.a], w)
-	f.byVertex[w.b] = append(f.byVertex[w.b], w)
+func (f *TwoPassFourCycle) keepWedge(a, center, b graph.V) {
+	h := f.inc.add(a, b)
+	f.wedges = append(f.wedges, sampledWedge{center: center, slot: int32(len(f.live))})
+	f.live = append(f.live, h)
 	f.meter.Charge(space.WordsPerWedge + space.WordsPerCounter)
 }
 
-func (f *TwoPassFourCycle) dropWedge(w *sampledWedge) {
-	// Lazy removal: mark by zeroing; dropped wedges are filtered at
-	// Estimate time and skipped by making them unreachable from wedges.
-	for i, x := range f.wedges {
-		if x == w {
-			f.wedges[i] = f.wedges[len(f.wedges)-1]
-			f.wedges = f.wedges[:len(f.wedges)-1]
-			break
-		}
-	}
-	w.count = -1 << 62 // poison so byVertex leftovers cannot contribute
+// dropWedge removes wedge h from Q in O(1): the last kept wedge moves into
+// h's slot. Estimate only sums the kept counts, so the order of live does
+// not matter; the tombstone stops pass two from flagging h.
+func (f *TwoPassFourCycle) dropWedge(h int32) {
+	i := f.wedges[h].slot
+	last := f.live[len(f.live)-1]
+	f.live[i] = last
+	f.wedges[last].slot = i
+	f.live = f.live[:len(f.live)-1]
+	f.inc.kill(h)
 	f.meter.Release(space.WordsPerWedge + space.WordsPerCounter)
 }
 
@@ -241,19 +258,14 @@ func (f *TwoPassFourCycle) Estimate() float64 {
 	if f.snap != nil {
 		return f.snap.Estimate
 	}
-	var sum int64
-	for _, w := range f.wedges {
-		if w.count > 0 {
-			sum += w.count
-		}
-	}
+	sum := f.keptCycles()
 	p2 := f.pairInclusionProb()
 	if p2 <= 0 {
 		return 0
 	}
 	dilution := 1.0
-	if f.cfg.WedgeCap > 0 && f.totalWedges > int64(len(f.wedges)) && len(f.wedges) > 0 {
-		dilution = float64(f.totalWedges) / float64(len(f.wedges))
+	if f.cfg.WedgeCap > 0 && f.totalWedges > int64(len(f.live)) && len(f.live) > 0 {
+		dilution = float64(f.totalWedges) / float64(len(f.live))
 	}
 	return float64(sum) * dilution / (4 * p2)
 }
@@ -294,7 +306,7 @@ func (f *TwoPassFourCycle) WedgesKept() int {
 	if f.snap != nil {
 		return f.snapKept
 	}
-	return len(f.wedges)
+	return len(f.live)
 }
 
 // CyclesThroughSampledWedges returns Σ_{w∈Q} T_w, the raw pass-two count.
@@ -302,11 +314,14 @@ func (f *TwoPassFourCycle) CyclesThroughSampledWedges() int64 {
 	if f.snap != nil {
 		return f.snapCycles
 	}
+	return f.keptCycles()
+}
+
+// keptCycles returns Σ_{w∈Q} T_w over the kept wedges.
+func (f *TwoPassFourCycle) keptCycles() int64 {
 	var sum int64
-	for _, w := range f.wedges {
-		if w.count > 0 {
-			sum += w.count
-		}
+	for _, h := range f.live {
+		sum += f.wedges[h].count
 	}
 	return sum
 }

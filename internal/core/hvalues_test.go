@@ -48,8 +48,10 @@ func TestWatcherCountsEqualDefinitionalH(t *testing.T) {
 		if alg.pairs.Offered() != 3*g.Triangles() {
 			t.Fatalf("seed %d: %d pairs, want %d", seed, alg.pairs.Offered(), 3*g.Triangles())
 		}
-		for _, pr := range alg.pairs.Items() {
-			u, v, a := pr.rec.u, pr.rec.v, pr.apex
+		for _, ph := range alg.pairs.Items() {
+			pr := alg.pairArena[ph]
+			r := alg.det.recs[pr.rec]
+			u, v, a := r.u, r.v, pr.apex
 			edges := [3]graph.Edge{
 				{U: u, V: v},
 				graph.Edge{U: u, V: a}.Norm(),
@@ -58,7 +60,7 @@ func TestWatcherCountsEqualDefinitionalH(t *testing.T) {
 			apexes := [3]graph.V{a, v, u}
 			for i := range edges {
 				want := referenceH(g, s, edges[i], apexes[i])
-				if got := pr.w[i].count; got != want {
+				if got := alg.watch.count(pr.w[i]); got != want {
 					t.Fatalf("seed %d: pair (%v, apex %d): H[%v] = %d, want %d",
 						seed, edges[i], a, edges[i], got, want)
 				}
@@ -80,8 +82,10 @@ func TestWatcherCountsEqualDefinitionalHQuick(t *testing.T) {
 			return false
 		}
 		stream.Run(s, alg)
-		for _, pr := range alg.pairs.Items() {
-			u, v, a := pr.rec.u, pr.rec.v, pr.apex
+		for _, ph := range alg.pairs.Items() {
+			pr := alg.pairArena[ph]
+			r := alg.det.recs[pr.rec]
+			u, v, a := r.u, r.v, pr.apex
 			edges := [3]graph.Edge{
 				{U: u, V: v},
 				graph.Edge{U: u, V: a}.Norm(),
@@ -89,7 +93,7 @@ func TestWatcherCountsEqualDefinitionalHQuick(t *testing.T) {
 			}
 			apexes := [3]graph.V{a, v, u}
 			for i := range edges {
-				if pr.w[i].count != referenceH(g, s, edges[i], apexes[i]) {
+				if alg.watch.count(pr.w[i]) != referenceH(g, s, edges[i], apexes[i]) {
 					return false
 				}
 			}
@@ -116,9 +120,10 @@ func TestHValuesHandExample(t *testing.T) {
 	// and 4 arrive later → H = 2. Apex 3 → H = 1. Apex 4 → H = 0.
 	wantSpine := map[graph.V]int64{2: 2, 3: 1, 4: 0}
 	found := 0
-	for _, pr := range alg.pairs.Items() {
-		if pr.rec.u == 0 && pr.rec.v == 1 {
-			if got := pr.w[0].count; got != wantSpine[pr.apex] {
+	for _, ph := range alg.pairs.Items() {
+		pr := alg.pairArena[ph]
+		if r := alg.det.recs[pr.rec]; r.u == 0 && r.v == 1 {
+			if got := alg.watch.count(pr.w[0]); got != wantSpine[pr.apex] {
 				t.Fatalf("spine H for apex %d = %d, want %d", pr.apex, got, wantSpine[pr.apex])
 			}
 			found++

@@ -39,14 +39,15 @@ func NewNaiveTwoPass(cfg TriangleConfig) (*NaiveTwoPass, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &NaiveTwoPass{cfg: cfg, det: newDetector()}
+	h := 2 * cfg.sampleHint()
+	n := &NaiveTwoPass{cfg: cfg, det: newDetector(newVertexIndex(h), h)}
 	if cfg.SampleSize > 0 {
 		n.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
-			if r := n.det.markDead(e); r != nil {
+			if h := n.det.markDead(e); h >= 0 {
 				// Retract discoveries credited to an edge that does not
 				// survive into the final sample; otherwise the estimate is
 				// biased upward by the early over-inclusive sample.
-				n.found -= r.hits
+				n.found -= n.det.recs[h].hits
 				n.meter.Release(space.WordsPerEdge + 2)
 			}
 		})
@@ -76,22 +77,22 @@ func (n *NaiveTwoPass) StartList(owner graph.V) { n.pos++ }
 func (n *NaiveTwoPass) Edge(owner, nbr graph.V) {
 	if n.pass == 0 {
 		n.items++
-		if n.sampler.Offer(owner, nbr) && n.det.get(owner, nbr) == nil {
+		if n.sampler.Offer(owner, nbr) && !n.det.tracked(owner, nbr) {
 			n.det.track(owner, nbr, n.pos)
 			n.meter.Charge(space.WordsPerEdge + 2)
 		}
 	}
-	n.det.flag(nbr)
+	n.det.flag(n.det.inc.vx.slot(nbr))
 }
 
 // EndList implements stream.Algorithm.
 func (n *NaiveTwoPass) EndList(owner graph.V) {
-	n.det.finishList(func(r *edgeRec) {
-		if n.pass == 0 || n.pos < r.posFirst {
+	for _, h := range n.det.endList() {
+		if r := &n.det.recs[h]; n.pass == 0 || n.pos < r.posFirst {
 			n.found++
 			r.hits++
 		}
-	})
+	}
 }
 
 // EndPass implements stream.Algorithm.

@@ -21,9 +21,10 @@ import (
 type ThreePassTriangle struct {
 	cfg     TriangleConfig
 	sampler sampling.EdgeSampler
+	vx      *vertexIndex // shared by det and watch
 	det     *detector
 	watch   *watchSet
-	pairs   []*trianglePair
+	pairs   []trianglePair
 
 	pass  int
 	pos   int
@@ -44,10 +45,12 @@ func NewThreePassTriangle(cfg TriangleConfig) (*ThreePassTriangle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &ThreePassTriangle{cfg: cfg, det: newDetector(), watch: newWatchSet()}
+	n := cfg.sampleHint()
+	vx := newVertexIndex(2 * n)
+	t := &ThreePassTriangle{cfg: cfg, vx: vx, det: newDetector(vx, 2*n), watch: newWatchSet(vx, 3*n)}
 	if cfg.SampleSize > 0 {
 		t.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
-			if r := t.det.markDead(e); r != nil {
+			if t.det.markDead(e) >= 0 {
 				t.meter.Release(space.WordsPerEdge + 2)
 			}
 		})
@@ -83,15 +86,15 @@ func (t *ThreePassTriangle) Edge(owner, nbr graph.V) {
 	switch t.pass {
 	case 0:
 		t.items++
-		if t.sampler.Offer(owner, nbr) && t.det.get(owner, nbr) == nil {
+		if t.sampler.Offer(owner, nbr) && !t.det.tracked(owner, nbr) {
 			t.det.track(owner, nbr, t.pos)
 			t.meter.Charge(space.WordsPerEdge + 2)
 		}
-		t.det.flag(nbr)
+		t.det.flag(t.vx.slot(nbr))
 	case 1:
-		t.det.flag(nbr)
+		t.det.flag(t.vx.slot(nbr))
 	case 2:
-		t.watch.flag(nbr)
+		t.watch.flag(t.vx.slot(nbr))
 	}
 }
 
@@ -99,13 +102,15 @@ func (t *ThreePassTriangle) Edge(owner, nbr graph.V) {
 func (t *ThreePassTriangle) EndList(owner graph.V) {
 	switch t.pass {
 	case 0:
-		t.det.finishList(func(r *edgeRec) { t.collect(r, owner) })
+		for _, h := range t.det.endList() {
+			t.collect(h, owner)
+		}
 	case 1:
-		t.det.finishList(func(r *edgeRec) {
-			if t.pos < r.posFirst {
-				t.collect(r, owner)
+		for _, h := range t.det.endList() {
+			if t.pos < t.det.recs[h].posFirst {
+				t.collect(h, owner)
 			}
-		})
+		}
 	case 2:
 		t.watch.finishList(t.pos)
 	}
@@ -119,23 +124,23 @@ func (t *ThreePassTriangle) EndPass(p int) {
 	case 1:
 		// Register an exact-load counter (threshold 0 counts every apex) for
 		// each edge of each collected triangle, counted during pass three.
-		for _, pr := range t.pairs {
-			if pr.rec.dead {
+		for i := range t.pairs {
+			pr := &t.pairs[i]
+			if t.det.dead(pr.rec) {
 				continue
 			}
-			pr.w[0] = &watcher{x: pr.rec.u, y: pr.rec.v}
-			pr.w[1] = &watcher{x: pr.rec.u, y: pr.apex}
-			pr.w[2] = &watcher{x: pr.rec.v, y: pr.apex}
-			for _, w := range pr.w {
-				t.watch.add(w)
-			}
+			r := &t.det.recs[pr.rec]
+			count := watcher{threshRec: -1}
+			pr.w[0] = t.watch.add(r.u, r.v, count)
+			pr.w[1] = t.watch.add(r.u, pr.apex, count)
+			pr.w[2] = t.watch.add(r.v, pr.apex, count)
 			t.meter.Charge(3 * space.WordsPerWatcher)
 		}
 	}
 }
 
-func (t *ThreePassTriangle) collect(r *edgeRec, apex graph.V) {
-	t.pairs = append(t.pairs, &trianglePair{rec: r, apex: apex})
+func (t *ThreePassTriangle) collect(h int32, apex graph.V) {
+	t.pairs = append(t.pairs, trianglePair{rec: h, apex: apex, w: [3]int32{-1, -1, -1}})
 	t.meter.Charge(space.WordsPerTriangle)
 }
 
@@ -145,11 +150,12 @@ func (t *ThreePassTriangle) Estimate() float64 {
 		return t.snap.Estimate
 	}
 	matched := 0
-	for _, pr := range t.pairs {
-		if pr.rec.dead || pr.w[0] == nil {
+	for i := range t.pairs {
+		pr := &t.pairs[i]
+		if t.det.dead(pr.rec) || pr.w[0] < 0 {
 			continue
 		}
-		if pr.rho() {
+		if pr.rho(t.det, t.watch) {
 			matched++
 		}
 	}

@@ -51,13 +51,23 @@ func (c TriangleConfig) pairCap() int {
 	return 4096
 }
 
-// trianglePair is a collected (sampled edge, triangle) pair with the three
-// H_{e′,τ} watchers of its triangle (index 0 is the sampled edge itself,
-// 1 is {u,apex}, 2 is {v,apex}).
+// sampleHint is the expected number of tracked edges, used to size the
+// kernel tables at construction.
+func (c TriangleConfig) sampleHint() int {
+	if c.SampleSize > 0 {
+		return c.SampleSize
+	}
+	return 1024
+}
+
+// trianglePair is a collected (sampled edge, triangle) pair: a detector
+// handle, the apex, and the watch-set handles of the three H_{e′,τ}
+// watchers of its triangle (index 0 is the sampled edge itself, 1 is
+// {u,apex}, 2 is {v,apex}; -1 while unregistered).
 type trianglePair struct {
-	rec  *edgeRec
+	rec  int32
 	apex graph.V
-	w    [3]*watcher
+	w    [3]int32
 }
 
 // TwoPassTriangle is the paper's main algorithm (Theorem 3.7): a two-pass
@@ -72,9 +82,13 @@ type trianglePair struct {
 type TwoPassTriangle struct {
 	cfg     TriangleConfig
 	sampler sampling.EdgeSampler
+	vx      *vertexIndex // shared by det and watch: one lookup per item
 	det     *detector
 	watch   *watchSet
-	pairs   *sampling.Reservoir[*trianglePair]
+	pairs   *sampling.Reservoir[int32] // handles into pairArena
+	// pairArena holds every pair the reservoir ever accepted; evicted
+	// pairs stay (their watchers are tombstoned) so handles never move.
+	pairArena []trianglePair
 
 	pass   int
 	pos    int   // current adjacency-list position (1-based)
@@ -96,10 +110,18 @@ func NewTwoPassTriangle(cfg TriangleConfig) (*TwoPassTriangle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &TwoPassTriangle{cfg: cfg, det: newDetector(), watch: newWatchSet()}
+	pc := cfg.pairCap()
+	vx := newVertexIndex(2 * cfg.sampleHint())
+	t := &TwoPassTriangle{
+		cfg:       cfg,
+		vx:        vx,
+		det:       newDetector(vx, 2*cfg.sampleHint()),
+		watch:     newWatchSet(vx, 3*pc),
+		pairArena: make([]trianglePair, 0, presize(pc)),
+	}
 	if cfg.SampleSize > 0 {
 		t.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
-			if r := t.det.markDead(e); r != nil {
+			if t.det.markDead(e) >= 0 {
 				t.meter.Release(space.WordsPerEdge + 2)
 			}
 		})
@@ -110,7 +132,7 @@ func NewTwoPassTriangle(cfg TriangleConfig) (*TwoPassTriangle, error) {
 		}
 		t.sampler = fp
 	}
-	t.pairs = sampling.NewReservoir[*trianglePair](cfg.pairCap(), cfg.Seed^0x5bf0_3635)
+	t.pairs = sampling.NewReservoir[int32](pc, cfg.Seed^0x5bf0_3635)
 	t.tele = newEstTele("twopass_triangle", &t.meter)
 	return t, nil
 }
@@ -138,15 +160,16 @@ func (t *TwoPassTriangle) StartList(owner graph.V) {
 func (t *TwoPassTriangle) Edge(owner, nbr graph.V) {
 	if t.pass == 0 {
 		t.items++
-		if t.sampler.Offer(owner, nbr) && t.det.get(owner, nbr) == nil {
+		if t.sampler.Offer(owner, nbr) && !t.det.tracked(owner, nbr) {
 			// True first appearance of a sampled edge: start tracking.
 			t.det.track(owner, nbr, t.pos)
 			t.meter.Charge(space.WordsPerEdge + 2)
 		}
 	}
-	t.det.flag(nbr)
+	vs := t.vx.slot(nbr)
+	t.det.flag(vs)
 	if t.pass == 1 {
-		t.watch.flag(nbr)
+		t.watch.flag(vs)
 	}
 }
 
@@ -155,15 +178,15 @@ func (t *TwoPassTriangle) EndList(owner graph.V) {
 	if t.pass == 1 {
 		t.watch.finishList(t.pos)
 	}
-	t.det.finishList(func(r *edgeRec) {
-		// r's both endpoints appeared in owner's list: triangle (r, owner).
+	for _, h := range t.det.endList() {
+		// h's both endpoints appeared in owner's list: triangle (h, owner).
 		// Pass one discovers apexes arriving after the edge entered the
 		// sample; pass two is restricted to the complementary prefix so
 		// each (edge, triangle) pair is discovered exactly once.
-		if t.pass == 0 || t.pos < r.posFirst {
-			t.addPair(r, owner)
+		if t.pass == 0 || t.pos < t.det.recs[h].posFirst {
+			t.addPair(h, owner)
 		}
-	})
+	}
 	t.inList = false
 }
 
@@ -179,13 +202,14 @@ func (t *TwoPassTriangle) EndPass(p int) {
 	t.m = t.items / 2
 	// All endpoint positions are known now; resolve deferred thresholds and
 	// tombstone watchers of pairs whose edge was evicted during pass one.
-	for _, pr := range t.pairs.Items() {
+	for _, ph := range t.pairs.Items() {
+		pr := &t.pairArena[ph]
 		for _, w := range pr.w {
-			if pr.rec.dead {
-				w.dead = true
+			if t.det.dead(pr.rec) {
+				t.watch.kill(w)
 				continue
 			}
-			w.resolve()
+			t.watch.resolve(w, t.det)
 		}
 	}
 }
@@ -193,44 +217,46 @@ func (t *TwoPassTriangle) EndPass(p int) {
 // addPair records a discovered (edge, triangle) pair: counts it toward the
 // pair total and offers it to the reservoir Q, registering its three
 // H watchers only if retained.
-func (t *TwoPassTriangle) addPair(r *edgeRec, apex graph.V) {
-	pr := &trianglePair{rec: r, apex: apex}
-	victim, evicted, accepted := t.pairs.Offer(pr)
+func (t *TwoPassTriangle) addPair(rh int32, apex graph.V) {
+	ph := int32(len(t.pairArena))
+	victim, evicted, accepted := t.pairs.Offer(ph)
 	if evicted {
-		for _, w := range victim.w {
-			w.dead = true
+		for _, w := range t.pairArena[victim].w {
+			t.watch.kill(w)
 		}
 		t.meter.Release(space.WordsPerTriangle + 3*space.WordsPerWatcher)
 	}
 	if !accepted {
 		return
 	}
-	pr.w[0] = &watcher{x: r.u, y: r.v, thresh: t.pos}
-	pr.w[1] = &watcher{x: r.u, y: apex, threshRec: r, threshAt: r.v, thresh: -1}
-	pr.w[2] = &watcher{x: r.v, y: apex, threshRec: r, threshAt: r.u, thresh: -1}
+	r := &t.det.recs[rh]
+	pr := trianglePair{rec: rh, apex: apex}
+	pr.w[0] = t.watch.add(r.u, r.v, watcher{thresh: t.pos, threshRec: -1})
+	pr.w[1] = t.watch.add(r.u, apex, watcher{threshRec: rh, threshAt: r.v, thresh: -1})
+	pr.w[2] = t.watch.add(r.v, apex, watcher{threshRec: rh, threshAt: r.u, thresh: -1})
 	if t.pass == 1 {
 		// Both endpoint positions are known after pass one.
-		pr.w[1].resolve()
-		pr.w[2].resolve()
+		t.watch.resolve(pr.w[1], t.det)
+		t.watch.resolve(pr.w[2], t.det)
 	}
-	for _, w := range pr.w {
-		t.watch.add(w)
-	}
+	t.pairArena = append(t.pairArena, pr)
 	t.meter.Charge(space.WordsPerTriangle + 3*space.WordsPerWatcher)
 }
 
 // rho reports whether the pair's triangle has its argmin-H edge equal to the
 // sampled edge, with ties broken toward the lexicographically smallest edge
-// (an intrinsic, sample-independent tie break).
-func (pr *trianglePair) rho() bool {
-	sampled := graph.Edge{U: pr.rec.u, V: pr.rec.v}
+// (an intrinsic, sample-independent tie break). d and s hold the pair's
+// edge record and watchers.
+func (pr *trianglePair) rho(d *detector, s *watchSet) bool {
+	r := &d.recs[pr.rec]
+	sampled := graph.Edge{U: r.u, V: r.v}
 	best := sampled
-	bestH := pr.w[0].count
+	bestH := s.count(pr.w[0])
 	for i, other := range [2]graph.Edge{
-		graph.Edge{U: pr.rec.u, V: pr.apex}.Norm(),
-		graph.Edge{U: pr.rec.v, V: pr.apex}.Norm(),
+		graph.Edge{U: r.u, V: pr.apex}.Norm(),
+		graph.Edge{U: r.v, V: pr.apex}.Norm(),
 	} {
-		h := pr.w[i+1].count
+		h := s.count(pr.w[i+1])
 		if h < bestH || (h == bestH && edgeLess(other, best)) {
 			best, bestH = other, h
 		}
@@ -259,11 +285,12 @@ func (t *TwoPassTriangle) Estimate() float64 {
 		return 0
 	}
 	matched := 0
-	for _, pr := range t.pairs.Items() {
-		if pr.rec.dead {
+	for _, ph := range t.pairs.Items() {
+		pr := &t.pairArena[ph]
+		if t.det.dead(pr.rec) {
 			continue
 		}
-		if pr.rho() {
+		if pr.rho(t.det, t.watch) {
 			matched++
 		}
 	}
@@ -292,11 +319,13 @@ func (t *TwoPassTriangle) SampledEdges() int { return t.det.len() }
 // rule. Valid after both passes.
 func (t *TwoPassTriangle) SampledTriangles() []graph.Triangle {
 	var out []graph.Triangle
-	for _, pr := range t.pairs.Items() {
-		if pr.rec.dead || !pr.rho() {
+	for _, ph := range t.pairs.Items() {
+		pr := &t.pairArena[ph]
+		if t.det.dead(pr.rec) || !pr.rho(t.det, t.watch) {
 			continue
 		}
-		out = append(out, sortedTriangle(pr.rec.u, pr.rec.v, pr.apex))
+		r := &t.det.recs[pr.rec]
+		out = append(out, sortedTriangle(r.u, r.v, pr.apex))
 	}
 	return out
 }

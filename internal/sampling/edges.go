@@ -1,9 +1,9 @@
 package sampling
 
 import (
-	"container/heap"
 	"fmt"
 
+	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 )
 
@@ -93,10 +93,16 @@ func (f *FixedProb) Edges() []graph.Edge {
 // them if fewer than k arrive). Because the running threshold (the k-th
 // smallest hash) only decreases, every edge in the final sample has been in
 // the running sample since its first appearance.
+//
+// The sample is a max-heap on hash plus a flat membership index keyed by
+// the same hash. The index changes only when an edge enters or leaves the
+// heap, never while the heap reorders, and after warm-up most offers are
+// rejected on the hash alone, before any lookup.
 type BottomK struct {
 	seed    uint64
 	k       int
-	h       hashHeap // max-heap on hash
+	h       []hashEntry // max-heap on hash
+	in      *flat.Table[graph.Edge]
 	onEvict func(graph.Edge)
 }
 
@@ -105,30 +111,54 @@ type hashEntry struct {
 	h uint64
 }
 
-type hashHeap struct {
-	entries []hashEntry
-	pos     map[graph.Edge]int
+// less orders the max-heap. up and down are container/heap's sift loops
+// on the concrete slice, step for step, so the layout (and the order
+// Edges reports) is what container/heap would produce.
+func (b *BottomK) less(i, j int) bool { return b.h[i].h > b.h[j].h }
+
+func (b *BottomK) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !b.less(j, i) {
+			break
+		}
+		b.h[i], b.h[j] = b.h[j], b.h[i]
+		j = i
+	}
 }
 
-func (h *hashHeap) Len() int           { return len(h.entries) }
-func (h *hashHeap) Less(i, j int) bool { return h.entries[i].h > h.entries[j].h } // max-heap
-func (h *hashHeap) Swap(i, j int) {
-	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
-	h.pos[h.entries[i].e] = i
-	h.pos[h.entries[j].e] = j
+func (b *BottomK) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && b.less(j2, j1) {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !b.less(j, i) {
+			break
+		}
+		b.h[i], b.h[j] = b.h[j], b.h[i]
+		i = j
+	}
 }
-func (h *hashHeap) Push(x any) {
-	e := x.(hashEntry)
-	h.pos[e.e] = len(h.entries)
-	h.entries = append(h.entries, e)
+
+func (b *BottomK) push(x hashEntry) {
+	b.in.Put(x.e, x.h, 0)
+	b.h = append(b.h, x)
+	b.up(len(b.h) - 1)
 }
-func (h *hashHeap) Pop() any {
-	old := h.entries
-	n := len(old)
-	e := old[n-1]
-	h.entries = old[:n-1]
-	delete(h.pos, e.e)
-	return e
+
+func (b *BottomK) pop() hashEntry {
+	n := len(b.h) - 1
+	b.h[0], b.h[n] = b.h[n], b.h[0]
+	b.down(0, n)
+	x := b.h[n]
+	b.h = b.h[:n]
+	b.in.Delete(x.e, x.h)
+	return x
 }
 
 // NewBottomK returns a bottom-k sampler of capacity k. onEvict, if non-nil,
@@ -138,29 +168,38 @@ func NewBottomK(k int, seed uint64, onEvict func(graph.Edge)) *BottomK {
 	if k <= 0 {
 		panic("sampling: bottom-k capacity must be positive")
 	}
-	b := &BottomK{seed: seed, k: k, onEvict: onEvict}
-	b.h.pos = make(map[graph.Edge]int)
-	return b
+	return &BottomK{
+		seed:    seed,
+		k:       k,
+		h:       make([]hashEntry, 0, k),
+		in:      flat.New[graph.Edge](k),
+		onEvict: onEvict,
+	}
 }
 
 // Offer implements EdgeSampler. Offering an edge that is already in the
 // sample is a no-op reporting true, so both stream appearances of an edge
-// may be offered safely.
+// may be offered safely. A member's hash is at most the heap top, so a
+// full sample rejects any larger hash without a membership lookup.
 func (b *BottomK) Offer(u, v graph.V) bool {
-	e := graph.Edge{U: u, V: v}.Norm()
-	if _, ok := b.h.pos[e]; ok {
-		return true
-	}
 	hv := HashEdge(b.seed, u, v)
-	if len(b.h.entries) < b.k {
-		heap.Push(&b.h, hashEntry{e, hv})
-		return true
-	}
-	if hv >= b.h.entries[0].h {
+	full := len(b.h) >= b.k
+	if full && hv > b.h[0].h {
 		return false
 	}
-	victim := heap.Pop(&b.h).(hashEntry)
-	heap.Push(&b.h, hashEntry{e, hv})
+	e := graph.Edge{U: u, V: v}.Norm()
+	if _, ok := b.in.Get(e, hv); ok {
+		return true
+	}
+	if !full {
+		b.push(hashEntry{e, hv})
+		return true
+	}
+	if hv >= b.h[0].h {
+		return false
+	}
+	victim := b.pop()
+	b.push(hashEntry{e, hv})
 	if b.onEvict != nil {
 		b.onEvict(victim.e)
 	}
@@ -178,8 +217,8 @@ func (b *BottomK) Shrink(newK int) {
 		return
 	}
 	b.k = newK
-	for len(b.h.entries) > b.k {
-		victim := heap.Pop(&b.h).(hashEntry)
+	for len(b.h) > b.k {
+		victim := b.pop()
 		if b.onEvict != nil {
 			b.onEvict(victim.e)
 		}
@@ -191,12 +230,12 @@ func (b *BottomK) K() int { return b.k }
 
 // Contains implements EdgeSampler.
 func (b *BottomK) Contains(u, v graph.V) bool {
-	_, ok := b.h.pos[graph.Edge{U: u, V: v}.Norm()]
+	_, ok := b.in.Get(graph.Edge{U: u, V: v}.Norm(), HashEdge(b.seed, u, v))
 	return ok
 }
 
 // Len implements EdgeSampler.
-func (b *BottomK) Len() int { return len(b.h.entries) }
+func (b *BottomK) Len() int { return len(b.h) }
 
 // InclusionScale implements EdgeSampler. For bottom-k the final sample has
 // min(k, m) edges, each equally likely, so Pr[e ∈ S] = min(k,m)/m.
@@ -213,8 +252,8 @@ func (b *BottomK) InclusionScale(m int64) float64 {
 
 // Edges returns the edges currently in the sample (unsorted).
 func (b *BottomK) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(b.h.entries))
-	for _, e := range b.h.entries {
+	out := make([]graph.Edge, 0, len(b.h))
+	for _, e := range b.h {
 		out = append(out, e.e)
 	}
 	return out
