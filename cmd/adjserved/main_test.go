@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -555,4 +556,126 @@ func TestOperationsDocCoversFlags(t *testing.T) {
 			t.Errorf("flag -%s is not documented in OPERATIONS.md", m[1])
 		}
 	}
+}
+
+// bootServer runs run() with args on an ephemeral port and waits for the
+// startup banner (printed after the addr file is written). Output goes to
+// lockedBuffers, so the test may read them while the server writes.
+func bootServer(t *testing.T, args ...string) (base, banner string, done chan int, stderr *lockedBuffer) {
+	t.Helper()
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	stdout := &lockedBuffer{}
+	stderr = &lockedBuffer{}
+	done = make(chan int, 1)
+	args = append([]string{"-listen", "localhost:0", "-addr-file", addrFile, "-demo", "-drain-timeout", "5s"}, args...)
+	go func() { done <- run(args, stdout, stderr) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		b, _ := os.ReadFile(addrFile)
+		if out := stdout.String(); len(b) > 0 && strings.Contains(out, "serving ") {
+			return "http://" + string(b), strings.TrimSpace(out[strings.Index(out, "serving "):]), done, stderr
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no banner; stderr: %s", stderr)
+		}
+		select {
+		case code := <-done:
+			t.Fatalf("server exited early with code %d; stderr: %s", code, stderr)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
+// stopServer drains the server with SIGTERM and waits for run() to return.
+// It first waits for an answer from base: run() installs its signal
+// handler before it starts serving, and a SIGTERM before that would end
+// the test process.
+func stopServer(t *testing.T, base string, done chan int, stderr *lockedBuffer) {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatalf("self-SIGTERM: %v", err)
+	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("exit code %d; stderr: %s", code, stderr)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not shut down after SIGTERM")
+	}
+}
+
+// TestQueueFlag checks that -queue means what its usage text says: the
+// default queues 2× workers, and 0 rejects at once when every worker is
+// busy.
+func TestQueueFlag(t *testing.T) {
+	t.Run("default", func(t *testing.T) {
+		base, banner, done, stderr := bootServer(t, "-workers", "2")
+		if !strings.Contains(banner, "(workers 2, queue 4)") {
+			t.Errorf("banner %q, want queue 4 (2× workers)", banner)
+		}
+		stopServer(t, base, done, stderr)
+	})
+	t.Run("zero", func(t *testing.T) {
+		base, banner, done, stderr := bootServer(t, "-workers", "1", "-queue", "0")
+		if !strings.Contains(banner, "(workers 1, queue 0)") {
+			t.Errorf("banner %q, want queue 0", banner)
+		}
+		// Occupy the only worker with a long run (thousands of copies),
+		// cancelled through the client connection once the check is done.
+		ctx, cancel := context.WithCancel(context.Background())
+		slowDone := make(chan struct{})
+		go func() {
+			defer close(slowDone)
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/estimate", strings.NewReader(
+				`{"graph":"er400","algorithm":"twopass-triangle","sample_size":256,"copies":5001,"seed":1}`))
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		defer func() { cancel(); <-slowDone }()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			resp, err := http.Get(base + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var h struct {
+				InFlight int `json:"in_flight"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&h)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.InFlight == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the long run never took the worker")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		start := time.Now()
+		resp, err := http.Post(base+"/v1/estimate", "application/json",
+			strings.NewReader(`{"graph":"triangles64","algorithm":"exact"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("status %d with the only worker busy and -queue 0, want 429", resp.StatusCode)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("429 took %v, want an immediate rejection", d)
+		}
+		cancel()
+		<-slowDone
+		stopServer(t, base, done, stderr)
+	})
 }

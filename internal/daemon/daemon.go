@@ -44,6 +44,24 @@ type Config struct {
 	TeleAddr string
 }
 
+// QueueFlag is the usage text of the -queue flag both binaries take.
+const QueueFlag = "admitted requests waiting for a worker beyond the slots (-1 = 2x workers, 0 = reject immediately)"
+
+// ServeQueue converts a -queue flag value to serve.Config.Queue. The flag
+// reads -1 (any negative) as "the default, 2× workers" and 0 as "no queue,
+// reject immediately"; serve.Config reserves 0 for the default and takes a
+// negative value as "no queue".
+func ServeQueue(flag int) int {
+	switch {
+	case flag < 0:
+		return 0
+	case flag == 0:
+		return -1
+	default:
+		return flag
+	}
+}
+
 // ServerFunc builds the service over the loaded catalog, returning it and the
 // startup banner for the bound address.
 type ServerFunc func(cat *serve.Catalog) (srv *serve.Server, banner func(addr net.Addr) string, err error)
