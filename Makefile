@@ -50,8 +50,11 @@ cache-smoke:
 	$(GO) test -race -run 'TestCachedResponseByteIdenticalEveryAlgorithmAndDriver|TestCacheStampedeSingleRun' .
 
 # Full benchmark run archived as machine-readable JSON (see cmd/bench2json).
+# -p 1 runs one package's benchmarks at a time: packages benchmarked
+# concurrently share the CPUs, and the archived ns/op would depend on
+# which ones overlapped.
 bench-json:
-	$(GO) test -run=NONE -bench=. -benchmem ./... \
+	$(GO) test -p 1 -run=NONE -bench=. -benchmem ./... \
 		| $(GO) run ./cmd/bench2json -out BENCH_$$(date +%Y-%m-%d).json
 
 # Refresh the committed benchmark baseline: full bench-json run, then stage
@@ -76,9 +79,9 @@ comma := ,
 # Fails (exit 1) on a ns/op regression beyond BENCH_GATE_THRESHOLD. The
 # benchtime is time-based, not -benchtime=Nx: a fixed iteration count is
 # dominated by warmup on sub-100µs benchmarks and reads far slower than
-# the 1s-benchtime baseline.
+# the 1s-benchtime baseline. -p 1 as in bench-json.
 bench-gate:
-	$(GO) test -run=NONE -bench='$(BENCH_GATE_KEYS)' -benchtime=0.3s $(BENCH_GATE_PKGS) \
+	$(GO) test -p 1 -run=NONE -bench='$(BENCH_GATE_KEYS)' -benchtime=0.3s $(BENCH_GATE_PKGS) \
 		| $(GO) run ./cmd/bench2json -out /tmp/bench-gate.json
 	$(GO) run ./cmd/benchdiff -new /tmp/bench-gate.json \
 		-keys '$(subst |,$(comma),$(BENCH_GATE_KEYS))' -threshold $(BENCH_GATE_THRESHOLD)
