@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 )
@@ -67,30 +69,37 @@ func (x *vertexIndex) slotOrAdd(v graph.V) int32 {
 
 // incidence is the flag engine shared by detector, watchSet and the
 // 4-cycle wedge set. A link l = h<<1 | side names endpoint side (0 or 1)
-// of record h; each vertex's links form a singly linked list in
-// registration order, headed at the vertex's slot in vx.
+// of record h. Each vertex's links, in registration order, fill one
+// contiguous segment of a shared pool, found through the vertex's slot in
+// vx, so a flag walk reads consecutive int32s rather than chasing
+// pointers.
 //
-// Tombstoned records are unlinked as a walk passes them. The unlinking is
-// stable: live records keep their relative order, so the order in which
-// records enter dirty — and hence the order endList reports them, which
-// for the detector is the order of Reservoir.Offer calls and so decides
-// which pairs are kept — is the order an uncompacted walk would give.
+// Tombstoned records are dropped from a segment as a walk passes them.
+// The compaction is stable: live records keep their relative order, so
+// the order in which records enter dirty — and hence the order endList
+// reports them, which for the detector is the order of Reservoir.Offer
+// calls and so decides which pairs are kept — is the order an
+// uncompacted walk would give.
 type incidence struct {
-	vx         *vertexIndex
-	head, tail []int32 // per vertex slot: first/last link, -1 if none
-	next       []int32 // per link: the following link, -1 at the end
-	state      []uint8 // per record: flag bits and tombstone
-	dirty      []int32 // records flagged in this list, in first-flag order
-	live       int     // records not tombstoned
+	vx    *vertexIndex
+	segs  []segment // per vertex slot
+	pool  []int32   // backing store of every segment
+	state []uint8   // per record: flag bits and tombstone
+	dirty []int32   // records flagged in this list, in first-flag order
+	live  int       // records not tombstoned
 }
+
+// segment is pool[off : off+n], with room to grow to off+cap in place.
+// A full segment moves to the end of the pool with twice the room; the
+// space it leaves is not reused, which at most doubles the pool.
+type segment struct{ off, n, cap int32 }
 
 // init sizes the engine for about n records over the vertex index vx.
 func (in *incidence) init(vx *vertexIndex, n int) {
 	n = presize(n)
 	in.vx = vx
-	in.head = make([]int32, 0, n)
-	in.tail = make([]int32, 0, n)
-	in.next = make([]int32, 0, 2*n)
+	in.segs = make([]segment, 0, n)
+	in.pool = make([]int32, 0, 4*n)
 	in.state = make([]uint8, 0, n)
 	in.dirty = make([]int32, 0, n)
 }
@@ -100,30 +109,32 @@ func (in *incidence) init(vx *vertexIndex, n int) {
 func (in *incidence) add(a, b graph.V) int32 {
 	h := int32(len(in.state))
 	in.state = append(in.state, 0)
-	in.next = append(in.next, -1, -1)
 	in.link(a, h<<1)
 	in.link(b, h<<1|1)
 	in.live++
 	return h
 }
 
-// link appends l to x's list.
+// link appends l to x's segment.
 func (in *incidence) link(x graph.V, l int32) {
 	vs := in.vx.slotOrAdd(x)
-	for int(vs) >= len(in.head) {
-		in.head = append(in.head, -1)
-		in.tail = append(in.tail, -1)
+	for int(vs) >= len(in.segs) {
+		in.segs = append(in.segs, segment{})
 	}
-	if t := in.tail[vs]; t >= 0 {
-		in.next[t] = l
-	} else {
-		in.head[vs] = l
+	sg := &in.segs[vs]
+	if sg.n == sg.cap {
+		c := max(2*sg.cap, 2)
+		off := int32(len(in.pool))
+		in.pool = slices.Grow(in.pool, int(c))[:off+c]
+		copy(in.pool[off:], in.pool[sg.off:sg.off+sg.n])
+		sg.off, sg.cap = off, c
 	}
-	in.tail[vs] = l
+	in.pool[sg.off+sg.n] = l
+	sg.n++
 }
 
 // kill tombstones record h. Its links are dropped by the next walk of
-// each endpoint's list.
+// each endpoint's segment.
 func (in *incidence) kill(h int32) {
 	if in.state[h]&deadBit == 0 {
 		in.state[h] |= deadBit
@@ -133,60 +144,53 @@ func (in *incidence) kill(h int32) {
 
 func (in *incidence) dead(h int32) bool { return in.state[h]&deadBit != 0 }
 
-// walk calls fn for every live link of x's list, in order, unlinking the
-// tombstoned ones it passes.
-func (in *incidence) walk(x graph.V, fn func(h int32, side int32)) {
-	vs := in.vx.slot(x)
-	if vs < 0 || int(vs) >= len(in.head) {
-		return
+// links returns the segment of the vertex with slot vs (-1 for none).
+func (in *incidence) links(vs int32) (*segment, []int32) {
+	if vs < 0 || int(vs) >= len(in.segs) {
+		return nil, nil
 	}
-	prev := int32(-1)
-	for l := in.head[vs]; l >= 0; {
-		nx := in.next[l]
+	sg := &in.segs[vs]
+	return sg, in.pool[sg.off : sg.off+sg.n]
+}
+
+// walk calls fn for every live link of x's segment, in order, dropping
+// the tombstoned ones it passes.
+func (in *incidence) walk(x graph.V, fn func(h int32, side int32)) {
+	sg, ls := in.links(in.vx.slot(x))
+	j := 0
+	for _, l := range ls {
 		if in.state[l>>1]&deadBit != 0 {
-			in.unlink(vs, prev, l, nx)
-		} else {
-			fn(l>>1, l&1)
-			prev = l
+			continue
 		}
-		l = nx
+		ls[j] = l
+		j++
+		fn(l>>1, l&1)
+	}
+	if sg != nil {
+		sg.n = int32(j)
 	}
 }
 
 // flag marks the appearance of the vertex with slot vs (-1 for none) in
 // the current list: the hot path, walk with the body inlined.
 func (in *incidence) flag(vs int32) {
-	if vs < 0 || int(vs) >= len(in.head) {
-		return
-	}
-	prev := int32(-1)
-	for l := in.head[vs]; l >= 0; {
-		nx := in.next[l]
+	sg, ls := in.links(vs)
+	j := 0
+	for _, l := range ls {
 		h := l >> 1
 		st := in.state[h]
 		if st&deadBit != 0 {
-			in.unlink(vs, prev, l, nx)
-			l = nx
 			continue
 		}
+		ls[j] = l
+		j++
 		if st&bothSides == 0 {
 			in.dirty = append(in.dirty, h)
 		}
 		in.state[h] = st | 1<<(l&1)
-		prev, l = l, nx
 	}
-}
-
-// unlink removes link l (whose successor is nx and predecessor prev, -1
-// at the head) from the list of vertex slot vs.
-func (in *incidence) unlink(vs, prev, l, nx int32) {
-	if prev < 0 {
-		in.head[vs] = nx
-	} else {
-		in.next[prev] = nx
-	}
-	if in.tail[vs] == l {
-		in.tail[vs] = prev
+	if sg != nil {
+		sg.n = int32(j)
 	}
 }
 
