@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	vnodes := fs.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
 	noFallback := fs.Bool("no-fallback", false, "fail with 503 instead of running locally when no replica can complete a request")
 	workers := fs.Int("workers", 0, "max concurrent local-fallback estimations (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", -1, daemon.QueueFlag)
+	queue := fs.Int("queue", -1, "admitted requests waiting for a worker beyond the slots (-1 = 2x workers, 0 = reject immediately)")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "cap on per-request deadlines")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
 	cacheEntries := fs.Int("cache-entries", 4096, "max cached results across all shards")

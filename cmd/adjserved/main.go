@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	graphsDir := fs.String("graphs", "", "directory of *.edges / *.txt edge-list files to serve")
 	demo := fs.Bool("demo", false, "load built-in demo graphs (k16, triangles64, fourcycles64, er400)")
 	workers := fs.Int("workers", 0, "max concurrent estimations (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", -1, daemon.QueueFlag)
+	queue := fs.Int("queue", -1, "admitted requests waiting for a worker beyond the slots (-1 = 2x workers, 0 = reject immediately)")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "cap on per-request deadlines")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
 	cacheEntries := fs.Int("cache-entries", 4096, "max cached results across all shards")

@@ -12,9 +12,9 @@ import (
 // endpoint; at the end of the list, act on the records both of whose
 // endpoints appeared". Records (sampled edges, H watchers, sampled
 // wedges) live in arena slices and are addressed by int32 handles; the
-// flag engine below links each record into the lists of its two endpoints
-// and keeps the per-list flags in a byte array beside the arena, so a
-// flag walk touches the vertex index, the link array and the flag bytes,
+// flag engine below files each record under both of its endpoints and
+// keeps the per-list flags in a byte array beside the arena, so a flag
+// walk touches the vertex index, the endpoint's links and the flag bytes,
 // never the records themselves.
 
 // Record state bits, one byte per record.
@@ -30,10 +30,7 @@ const (
 // slots. One index can serve several incidence engines (the detector and
 // watch set of one estimator), so an item costs one lookup however many
 // engines it flags. It makes no assumption about the ids themselves.
-type vertexIndex struct {
-	t flat.Table[graph.V]
-	n int32
-}
+type vertexIndex struct{ t flat.Table[graph.V] }
 
 // presize bounds the capacity reserved at construction for a size hint.
 // SampleSize and PairCap are caps that a run may never fill (experiments
@@ -60,8 +57,7 @@ func (x *vertexIndex) slotOrAdd(v graph.V) int32 {
 	h := vertexHash(v)
 	s, ok := x.t.Get(v, h)
 	if !ok {
-		s = x.n
-		x.n++
+		s = int32(x.t.Len())
 		x.t.Put(v, h, s)
 	}
 	return s
@@ -153,26 +149,8 @@ func (in *incidence) links(vs int32) (*segment, []int32) {
 	return sg, in.pool[sg.off : sg.off+sg.n]
 }
 
-// walk calls fn for every live link of x's segment, in order, dropping
-// the tombstoned ones it passes.
-func (in *incidence) walk(x graph.V, fn func(h int32, side int32)) {
-	sg, ls := in.links(in.vx.slot(x))
-	j := 0
-	for _, l := range ls {
-		if in.state[l>>1]&deadBit != 0 {
-			continue
-		}
-		ls[j] = l
-		j++
-		fn(l>>1, l&1)
-	}
-	if sg != nil {
-		sg.n = int32(j)
-	}
-}
-
 // flag marks the appearance of the vertex with slot vs (-1 for none) in
-// the current list: the hot path, walk with the body inlined.
+// the current list, dropping the tombstoned links it passes.
 func (in *incidence) flag(vs int32) {
 	sg, ls := in.links(vs)
 	j := 0
@@ -278,14 +256,18 @@ func (d *detector) track(owner, nbr graph.V, pos int) {
 // notePos records that owner's adjacency list is at position pos, filling
 // the endpoint positions of tracked edges incident to owner.
 func (d *detector) notePos(owner graph.V, pos int) {
-	d.inc.walk(owner, func(h, side int32) {
-		r := &d.recs[h]
-		if side == 0 && r.posU < 0 {
+	_, ls := d.inc.links(d.inc.vx.slot(owner))
+	for _, l := range ls {
+		if d.inc.dead(l >> 1) {
+			continue
+		}
+		r := &d.recs[l>>1]
+		if l&1 == 0 && r.posU < 0 {
 			r.posU = pos
-		} else if side == 1 && r.posV < 0 {
+		} else if l&1 == 1 && r.posV < 0 {
 			r.posV = pos
 		}
-	})
+	}
 }
 
 // flag marks the appearance, inside the current adjacency list, of the

@@ -172,27 +172,11 @@ func (f *TwoPassFourCycle) buildWedges() {
 		}
 		return cmp.Compare(x.V, y.V)
 	})
-	var formed int64
-	for i := 0; i < len(arcs); {
-		j := i
-		for j < len(arcs) && arcs[j].U == arcs[i].U {
-			j++
-		}
-		d := int64(j - i)
-		formed += d * (d - 1) / 2
-		i = j
-	}
-	// Sizing: with a cap, Q holds at most WedgeCap wedges, and the arena
-	// also keeps the ones the reservoir later drops.
-	kept, made := formed, formed
 	var res *sampling.Reservoir[int32]
-	if c := int64(f.cfg.WedgeCap); c > 0 {
+	if f.cfg.WedgeCap > 0 {
 		res = sampling.NewReservoir[int32](f.cfg.WedgeCap, f.cfg.Seed^0x77ed_21f3)
-		kept, made = min(formed, c), min(formed, 2*c)
 	}
-	f.wedges = make([]sampledWedge, 0, made)
-	f.live = make([]int32, 0, kept)
-	f.inc.init(newVertexIndex(2*len(edges)), int(made))
+	f.inc.init(newVertexIndex(len(arcs)), len(arcs))
 	for i := 0; i < len(arcs); {
 		c := arcs[i].U
 		j := i

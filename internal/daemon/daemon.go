@@ -44,9 +44,6 @@ type Config struct {
 	TeleAddr string
 }
 
-// QueueFlag is the usage text of the -queue flag both binaries take.
-const QueueFlag = "admitted requests waiting for a worker beyond the slots (-1 = 2x workers, 0 = reject immediately)"
-
 // ServeQueue converts a -queue flag value to serve.Config.Queue. The flag
 // reads -1 (any negative) as "the default, 2× workers" and 0 as "no queue,
 // reject immediately"; serve.Config reserves 0 for the default and takes a
