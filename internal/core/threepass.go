@@ -130,10 +130,10 @@ func (t *ThreePassTriangle) EndPass(p int) {
 				continue
 			}
 			r := &t.det.recs[pr.rec]
-			count := watcher{threshRec: -1}
-			pr.w[0] = t.watch.add(r.u, r.v, count)
-			pr.w[1] = t.watch.add(r.u, pr.apex, count)
-			pr.w[2] = t.watch.add(r.v, pr.apex, count)
+			load := watcher{threshRec: -1}
+			pr.w[0] = t.watch.add(r.u, r.v, load)
+			pr.w[1] = t.watch.add(r.u, pr.apex, load)
+			pr.w[2] = t.watch.add(r.v, pr.apex, load)
 			t.meter.Charge(3 * space.WordsPerWatcher)
 		}
 	}

@@ -135,7 +135,7 @@ func (b *BottomK) down(i, n int) {
 		}
 		j := j1 // left child
 		if j2 := j1 + 1; j2 < n && b.less(j2, j1) {
-			j = j2 // = 2*i + 2  // right child
+			j = j2 // right child
 		}
 		if !b.less(j, i) {
 			break
@@ -168,11 +168,14 @@ func NewBottomK(k int, seed uint64, onEvict func(graph.Edge)) *BottomK {
 	if k <= 0 {
 		panic("sampling: bottom-k capacity must be positive")
 	}
+	// k is a cap a short stream may never fill, so only a bounded
+	// reservation is made up front; both grow by doubling past it.
+	n := min(k, 1<<13)
 	return &BottomK{
 		seed:    seed,
 		k:       k,
-		h:       make([]hashEntry, 0, k),
-		in:      flat.New[graph.Edge](k),
+		h:       make([]hashEntry, 0, n),
+		in:      flat.New[graph.Edge](n),
 		onEvict: onEvict,
 	}
 }
